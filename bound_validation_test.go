@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	"hirata"
@@ -181,7 +179,7 @@ func TestBoundFuzzCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, ok := corpusString(string(data))
+		src, ok := hirata.CorpusString(string(data))
 		if !ok {
 			continue
 		}
@@ -202,22 +200,4 @@ func TestBoundFuzzCorpus(t *testing.T) {
 			})
 		}
 	}
-}
-
-// corpusString extracts the string argument from a go-fuzz corpus file
-// ("go test fuzz v1" followed by one string(...) line).
-func corpusString(data string) (string, bool) {
-	for _, line := range strings.Split(data, "\n") {
-		rest, ok := strings.CutPrefix(line, "string(")
-		if !ok {
-			continue
-		}
-		rest = strings.TrimSuffix(rest, ")")
-		s, err := strconv.Unquote(rest)
-		if err != nil {
-			return "", false
-		}
-		return s, true
-	}
-	return "", false
 }

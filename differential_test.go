@@ -7,20 +7,15 @@ package hirata
 //     bit-identical Result and final memory image with the skip disabled
 //     (MTConfig.DisableCycleSkip) and enabled;
 //   - the event-driven cycle core must be invisible: the same workloads,
-//     plus every MinC program shipped under examples/programs, produce
-//     bit-identical Results, memory images and metrics reports against the
-//     legacy scan-everything loop (MTConfig.DisableEventCore);
+//     plus every MinC program shipped under examples/programs, reproduce
+//     the Results, memory images and metrics report recorded from the
+//     legacy scan-everything loop (legacy_golden_test.go);
 //   - the parallel sweep engine must be invisible: experiment runners
 //     produce byte-identical output at any parallelism.
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -63,43 +58,6 @@ func runSkipDifferential(t *testing.T, cfg MTConfig, text []Instruction, mkMem f
 	}
 	if !reflect.DeepEqual(mems[0], mems[1]) {
 		t.Error("final memory image differs with cycle skip")
-	}
-}
-
-// runEventCoreDifferential runs the same program twice — once on the legacy
-// scan-everything cycle loop (DisableEventCore) and once on the event-driven
-// core — and requires byte-identical Results (via their JSON encodings, so a
-// new Result field cannot silently escape the comparison) and identical
-// memory images.
-func runEventCoreDifferential(t *testing.T, cfg MTConfig, text []Instruction, mkMem func() (*Memory, error), startPCs ...int64) {
-	t.Helper()
-	var results [2]MTResult
-	var blobs [2][]byte
-	var mems [2][]uint64
-	for i, disable := range []bool{true, false} {
-		c := cfg
-		c.DisableEventCore = disable
-		m, err := mkMem()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunMT(c, text, m, startPCs...)
-		if err != nil {
-			t.Fatalf("DisableEventCore=%v: %v", disable, err)
-		}
-		js, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[i] = res
-		blobs[i] = js
-		mems[i] = memWords(t, m)
-	}
-	if !bytes.Equal(blobs[0], blobs[1]) || !reflect.DeepEqual(results[0], results[1]) {
-		t.Errorf("Result differs between cores:\n  legacy: %+v\n  event:  %+v", results[0], results[1])
-	}
-	if !reflect.DeepEqual(mems[0], mems[1]) {
-		t.Error("final memory image differs between cores")
 	}
 }
 
@@ -191,197 +149,6 @@ func TestCycleSkipDifferentialTraceReplay(t *testing.T) {
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
 		t.Errorf("trace replay Result differs with cycle skip:\n  off: %+v\n  on:  %+v", results[0], results[1])
-	}
-}
-
-// Event-core differentials: the same workload matrix as the cycle-skip
-// proofs above, replayed against the legacy scan loop. The two cores share
-// no phase implementations for scheduling, fetch gating or quiescent
-// horizons, so agreement here is a real cross-check, not a tautology.
-
-func TestEventCoreDifferentialFib(t *testing.T) {
-	prog := loadProgram(t, "fib.s")
-	runEventCoreDifferential(t, MTConfig{ThreadSlots: 1, StandbyStations: true},
-		prog.Text, func() (*Memory, error) { return prog.NewMemory(128) })
-}
-
-func TestEventCoreDifferentialSort(t *testing.T) {
-	prog := loadProgram(t, "sort.s")
-	runEventCoreDifferential(t, MTConfig{ThreadSlots: 4, LoadStoreUnits: 2, StandbyStations: true},
-		prog.Text, func() (*Memory, error) { return prog.NewMemory(64) })
-}
-
-func TestEventCoreDifferentialRadiosity(t *testing.T) {
-	rd, err := BuildRadiosity(RadiosityConfig{Patches: 12, Sweeps: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runEventCoreDifferential(t, MTConfig{ThreadSlots: 8, LoadStoreUnits: 2, StandbyStations: true},
-		rd.Prog.Text, func() (*Memory, error) { return rd.NewMemory(8) })
-}
-
-func TestEventCoreDifferentialRayTrace(t *testing.T) {
-	rt, err := BuildRayTrace(RayTraceConfig{Rays: 16, Spheres: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, slots := range []int{2, 8} {
-		runEventCoreDifferential(t, MTConfig{ThreadSlots: slots, LoadStoreUnits: 2, StandbyStations: true},
-			rt.Par.Text, func() (*Memory, error) { return rt.NewMemory(rt.Par, slots) })
-	}
-}
-
-// TestEventCoreDifferentialIssueWidths covers the machine shapes with
-// distinct issue paths: the width-1 head-stall cache, wide windows (which
-// never cache), and latch-only issue without standby stations.
-func TestEventCoreDifferentialIssueWidths(t *testing.T) {
-	rt, err := BuildRayTrace(RayTraceConfig{Rays: 12, Spheres: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []MTConfig{
-		{ThreadSlots: 4, LoadStoreUnits: 2, StandbyStations: true, IssueWidth: 2},
-		{ThreadSlots: 4, LoadStoreUnits: 2}, // issue latches, no standby
-		{ThreadSlots: 8, LoadStoreUnits: 2, StandbyStations: true, RotationInterval: 3},
-	} {
-		runEventCoreDifferential(t, cfg, rt.Par.Text,
-			func() (*Memory, error) { return rt.NewMemory(rt.Par, cfg.ThreadSlots) })
-	}
-}
-
-// TestEventCoreDifferentialConcurrentMT exercises the paths the event core
-// optimises hardest: long remote-latency quiescent stretches (the empty
-// event-set horizon) alternating with data-absence context switches.
-func TestEventCoreDifferentialConcurrentMT(t *testing.T) {
-	prog, err := Assemble(concurrentMTSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkMem := func() (*Memory, error) {
-		m := NewMemoryWithRemote(8192, 4096, 300)
-		for i := int64(4096); i < 8192; i++ {
-			m.SetInt(i, i%97)
-		}
-		return m, nil
-	}
-	for _, suppress := range []bool{false, true} {
-		runEventCoreDifferential(t, MTConfig{
-			ThreadSlots:      1,
-			ContextFrames:    4,
-			StandbyStations:  true,
-			ExplicitRotation: suppress,
-		}, prog.Text, mkMem, 0, 0, 0, 0)
-	}
-}
-
-func TestEventCoreDifferentialTraceReplay(t *testing.T) {
-	rt, err := BuildRayTrace(RayTraceConfig{Rays: 8, Spheres: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := rt.NewMemory(rt.Seq, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := RecordTrace(rt.Seq.Text, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := [][]TraceRecord{recs, recs, recs, recs}
-	var results [2]MTResult
-	for i, disable := range []bool{true, false} {
-		res, err := ReplayTraces(MTConfig{
-			ThreadSlots:      4,
-			LoadStoreUnits:   2,
-			StandbyStations:  true,
-			DisableEventCore: disable,
-		}, traces)
-		if err != nil {
-			t.Fatalf("DisableEventCore=%v: %v", disable, err)
-		}
-		results[i] = res
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Errorf("trace replay Result differs between cores:\n  legacy: %+v\n  event:  %+v", results[0], results[1])
-	}
-}
-
-// TestEventCoreDifferentialMinC replays every MinC program shipped under
-// examples/programs (the curated fuzz-corpus survivors) on both cores at
-// several machine widths.
-func TestEventCoreDifferentialMinC(t *testing.T) {
-	dir := filepath.Join("examples", "programs")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".mc") {
-			continue
-		}
-		n++
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := CompileMinC(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-		for _, slots := range []int{1, 4, 8} {
-			slots := slots
-			t.Run(fmt.Sprintf("%s/S%d", strings.TrimSuffix(e.Name(), ".mc"), slots), func(t *testing.T) {
-				runEventCoreDifferential(t,
-					MTConfig{ThreadSlots: slots, LoadStoreUnits: 2, StandbyStations: true},
-					prog.Text, func() (*Memory, error) {
-						m, err := prog.NewMemory(1024)
-						if err != nil {
-							return nil, err
-						}
-						SetMinCThreads(prog, m, slots)
-						return m, nil
-					})
-			})
-		}
-	}
-	if n == 0 {
-		t.Error("no MinC programs found under examples/programs")
-	}
-}
-
-// TestEventCoreDifferentialMetricsJSON runs an observed simulation on both
-// cores and requires the full metrics report — totals, per-unit busy
-// cycles, per-slot stall breakdowns, interval samples — to serialise
-// byte-identically. Observers pin the machine to cycle-by-cycle stepping,
-// so this covers the event core's per-cycle dirty-set paths, not just its
-// quiescent jumps.
-func TestEventCoreDifferentialMetricsJSON(t *testing.T) {
-	rt, err := BuildRayTrace(RayTraceConfig{Rays: 12, Spheres: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := MTConfig{ThreadSlots: 4, LoadStoreUnits: 2, StandbyStations: true}
-	var out [2][]byte
-	for i, disable := range []bool{true, false} {
-		c := cfg
-		c.DisableEventCore = disable
-		m, err := rt.NewMemory(rt.Par, c.ThreadSlots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col := NewCollector(c, CollectorOptions{MetricsInterval: 64})
-		if _, err := RunMTObserved(c, rt.Par.Text, m, []Observer{col}); err != nil {
-			t.Fatalf("DisableEventCore=%v: %v", disable, err)
-		}
-		var buf bytes.Buffer
-		if err := col.WriteMetricsJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		out[i] = buf.Bytes()
-	}
-	if !bytes.Equal(out[0], out[1]) {
-		t.Error("metrics report JSON differs between cores")
 	}
 }
 

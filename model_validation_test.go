@@ -137,7 +137,7 @@ func TestModelFuzzCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, ok := corpusString(string(data))
+		src, ok := hirata.CorpusString(string(data))
 		if !ok {
 			continue
 		}
