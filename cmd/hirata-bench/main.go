@@ -56,9 +56,9 @@ func main() {
 		ledgerPath = flag.String("ledger", "", "append every simulation this process runs (table cells, sweep workers, explore re-sims) to this content-addressed run ledger (inspect with hirata-report)")
 		runTag     = flag.String("run-tag", "", "lineage tag stored in recorded run records (with -ledger)")
 
-		selfProfile     = flag.Bool("self-profile", false, "profile the simulator itself on the representative 8-slot ray trace: cycle-loop phase breakdown plus the dirty-set opportunity report (docs/OBSERVABILITY.md)")
+		selfProfile     = flag.Bool("self-profile", false, "profile the simulator itself on the representative 8-slot ray trace: sampled cycle-loop phase breakdown and event-horizon skip counts (docs/OBSERVABILITY.md)")
 		hostTrace       = flag.String("host-trace", "", "with -self-profile, write the host-side Chrome Trace Event JSON (cycle-loop phases + sweep workers) here")
-		selfProfileJSON = flag.String("self-profile-json", "", "with -self-profile, write the phase profile and opportunity report as JSON here")
+		selfProfileJSON = flag.String("self-profile-json", "", "with -self-profile, write the phase profile as JSON here")
 		version         = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()

@@ -12,18 +12,17 @@ import (
 // selfProfileOutputs selects the artifacts of a -self-profile run.
 type selfProfileOutputs struct {
 	tracePath string // host Chrome Trace Event JSON
-	jsonPath  string // machine-readable phase profile + opportunity report
+	jsonPath  string // machine-readable phase profile
 	httpAddr  string // serve /metrics and /hostmetrics until interrupted
 }
 
 // runSelfProfile turns the simulator's observability on itself: it runs the
 // representative 8-slot ray trace (the Table 2 configuration) with the host
 // profiler attached, runs the speed-up sweep with sweep telemetry recording
-// worker timelines, and prints the cycle-loop phase profile plus the
-// dirty-set opportunity report. The profiler leaves quiescent-cycle
-// skipping armed, so the profiled run is cycle-identical to an unprofiled
-// one (unless -http attaches a pipeline collector, which disables skipping
-// as it always has).
+// worker timelines, and prints the cycle-loop phase profile. The profiler
+// leaves quiescent-cycle skipping armed, so the profiled run is
+// cycle-identical to an unprofiled one (unless -http attaches a pipeline
+// collector, which disables skipping as it always has).
 func runSelfProfile(w io.Writer, rt hirata.RayTraceConfig, out selfProfileOutputs) error {
 	prof := hirata.NewHostProfiler(hirata.HostProfilerOptions{})
 	rec := hirata.NewSweepRecorder()
@@ -68,7 +67,6 @@ func runSelfProfile(w io.Writer, rt hirata.RayTraceConfig, out selfProfileOutput
 	}
 
 	fmt.Fprintln(w, prof.Profile().Format())
-	fmt.Fprintln(w, prof.Opportunity().Format())
 
 	writeFile := func(path string, write func(io.Writer) error) error {
 		f, err := os.Create(path)

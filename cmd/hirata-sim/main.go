@@ -66,7 +66,7 @@ func main() {
 		critPathJSON = flag.String("critpath-json", "", "write the critical-path analysis as JSON to this file (mt)")
 		whatIf       = flag.String("whatif", "", "comma-separated what-if scenarios to estimate, e.g. \"+1 alu,+1 ls,+1 slot\" (mt)")
 
-		selfProfile = flag.Bool("self-profile", false, "profile the simulator itself: print the cycle-loop phase breakdown and dirty-set opportunity report after the run (mt; docs/OBSERVABILITY.md)")
+		selfProfile = flag.Bool("self-profile", false, "profile the simulator itself: print the sampled cycle-loop phase breakdown and event-horizon skip counts after the run (mt; docs/OBSERVABILITY.md)")
 		hostTrace   = flag.String("host-trace", "", "with -self-profile, write the host-side Chrome Trace Event JSON here (mt)")
 		recordPath  = flag.String("record", "", "append the completed run to this content-addressed ledger file (mt; inspect with hirata-report)")
 		runTag      = flag.String("run-tag", "", "lineage tag stored in the run record (with -record)")
@@ -276,8 +276,6 @@ func main() {
 		if prof != nil {
 			fmt.Println()
 			fmt.Print(prof.Profile().Format())
-			fmt.Println()
-			fmt.Print(prof.Opportunity().Format())
 			if *hostTrace != "" {
 				f, ferr := os.Create(*hostTrace)
 				if ferr != nil {

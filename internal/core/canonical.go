@@ -12,8 +12,9 @@ package core
 //   - no aliasing: two configs that can produce different results must
 //     never encode the same. The encoder enumerates every result-relevant
 //     field in declaration order; fields that provably cannot change a
-//     completed run's Result — the differential-test knobs and the abort
-//     limit — are excluded by name in canonicalExcluded, with the reason.
+//     completed run's Result — the cycle-skip reference knob, the verify
+//     gate and the abort limit — are excluded by name in canonicalExcluded,
+//     with the reason.
 //
 // Both properties are enforced mechanically: TestCanonicalConfigCovers
 // checks by reflection that every Config field is either encoded or
@@ -80,12 +81,11 @@ var canonicalFields = []canonicalField{
 
 // canonicalExcluded names the Config fields deliberately absent from the
 // canonical encoding, each with the reason it cannot change a completed
-// run's Result. The differential test suites are the proof obligations
-// behind the first two entries.
+// run's Result. The cycle-skip differential tests (TestCycleSkipDifferential*)
+// are the proof obligation behind DisableCycleSkip.
 var canonicalExcluded = map[string]string{
 	"MaxCycles":        "abort limit only: a completed run's Result is identical under any limit it fits in; aborted runs return an error and are never recorded",
 	"DisableCycleSkip": "quiescent-cycle skipping is cycle-exact (differential_test.go); the flag selects the reference path, not a different machine",
-	"DisableEventCore": "the event-driven core is bit-identical to the legacy scan core (TestEventCoreDifferential*); the flag selects the reference path, not a different machine",
 	"StrictVerify":     "gates whether a run starts, never what a completed run computes",
 }
 

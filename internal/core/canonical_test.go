@@ -112,7 +112,6 @@ func TestCanonicalConfigExcludedNeutral(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"MaxCycles":        func(c *Config) { c.MaxCycles = 12345 },
 		"DisableCycleSkip": func(c *Config) { c.DisableCycleSkip = true },
-		"DisableEventCore": func(c *Config) { c.DisableEventCore = true },
 		"StrictVerify":     func(c *Config) { c.StrictVerify = true },
 	} {
 		variant := base

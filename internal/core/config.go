@@ -115,14 +115,6 @@ type Config struct {
 	// correct results. Attaching an observer or the OnIssue/OnSelect hooks
 	// disables skipping regardless of this flag.
 	DisableCycleSkip bool
-	// DisableEventCore falls back to the legacy scan-everything cycle loop:
-	// every phase walks every slot/unit/queue each cycle and the quiescent
-	// horizon is recomputed by structural scan instead of being read off the
-	// pending-event heap. The event-driven core is cycle-exact — the
-	// differential suites compare it against this reference path — so the
-	// flag exists for those tests, for debugging, and as the census baseline
-	// the dirty-set hit rate is measured against; not for correct results.
-	DisableEventCore bool
 	// StrictVerify makes the top-level runners (hirata.RunMT) refuse to
 	// simulate a program the static verifier (internal/lint) finds
 	// diagnostics in. The core simulator itself ignores this field.

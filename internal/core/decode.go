@@ -31,9 +31,6 @@ func (c *issueCtx) ReadInt(r isa.Reg) int64 {
 		if !c.popIntDone {
 			c.popIntVal = int64(c.p.inQueue(c.s.id, false).pop())
 			c.popIntDone = true
-			if c.p.hostSampled {
-				c.p.touchSmp.QueueHits++
-			}
 		}
 		return c.popIntVal
 	}
@@ -53,9 +50,6 @@ func (c *issueCtx) ReadFP(r isa.Reg) float64 {
 		if !c.popFPDone {
 			c.popFPVal = floatFromBits(c.p.inQueue(c.s.id, true).pop())
 			c.popFPDone = true
-			if c.p.hostSampled {
-				c.p.touchSmp.QueueHits++
-			}
 		}
 		return c.popFPVal
 	}
@@ -75,55 +69,25 @@ func (c *issueCtx) Load(addr int64) (uint64, error)  { return c.p.mem.Load(addr)
 func (c *issueCtx) Store(addr int64, v uint64) error { return c.p.mem.Store(addr, v) }
 func (c *issueCtx) TID() int                         { return int(c.f.tid) }
 
-// decodePhase runs every decode unit for one cycle (stage D2): dependence
-// checks via scoreboarding, queue-register full/empty interlocks, priority
-// interlocks, branch resolution, and issue into standby stations. Running
-// slots are the decode dirty set — only they hold decodable state or
-// accrue stall statistics — so the event core returns immediately when
-// none exist; a census visit is a running slot's window examination.
-func (p *Processor) decodePhase() error {
-	if p.eventCore && p.runningSlots == 0 {
-		return nil
-	}
-	p.issueBudget = p.cfg.MaxIssuePerCycle
-	if p.issueBudget <= 0 {
-		p.issueBudget = 1 << 30 // unbounded: simultaneous issue
-	}
-	for _, slotID := range p.prio {
-		s := p.slots[slotID]
-		if s.state != slotRunning {
-			continue
-		}
-		if p.hostSampled {
-			p.touchSmp.SlotVisits++
-		}
-		if p.issueBudget <= 0 {
-			break
-		}
-		if err := p.issueFromSlot(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// decodeAndAdvance fuses decodePhase and advanceDecodeStages into one pass
-// over the priority list, touching each running slot's hot fields once per
-// cycle instead of twice. It runs only on unsampled event-core steps:
-// sampled steps keep the split phases so the host probe's issue/decode
-// timing attribution and the touch census match the documented taxonomy.
+// decodeAndAdvance runs every decode unit for one cycle in a single pass
+// over the priority list: stage D2 issue (dependence checks via
+// scoreboarding, queue-register full/empty interlocks, priority
+// interlocks, branch resolution, issue into standby stations), then the
+// slot's buffer→D1→D2 advance (advanceSlot). Running slots are the decode
+// dirty set — only they hold decodable state or accrue stall statistics —
+// so the pass returns immediately when none exist.
 //
-// The fusion is result-neutral. A slot's own issue still precedes its own
-// advance, and advance mutates only slot-local state plus the slot's
-// fetchable bit, none of which issue on another slot reads (cross-slot
-// issue effects — kills, queue traffic, priority interlocks — consult
-// slot states, queues, and scoreboards, never decode-stage contents). A
-// slot killed by an earlier-priority slot after advancing is flushed
-// wholesale, erasing the advance exactly as the split ordering would have
-// skipped it. The one iteration hazard is a change-priority instruction
+// Issuing from every slot before advancing any (two sweeps) would give the
+// same result. A slot's own issue precedes its own advance, and advance
+// mutates only slot-local state plus the slot's fetchable bit, none of
+// which issue on another slot reads (cross-slot issue effects — kills,
+// queue traffic, priority interlocks — consult slot states, queues, and
+// scoreboards, never decode-stage contents). A slot killed by an
+// earlier-priority slot after advancing is flushed wholesale, erasing the
+// advance. The one iteration hazard is a change-priority instruction
 // rotating p.prio mid-loop; the advanced bitmask plus the rotation-count
 // check below guarantee every still-running slot advances exactly once
-// regardless, matching the split core's index-order sweep.
+// regardless.
 func (p *Processor) decodeAndAdvance() error {
 	if p.runningSlots == 0 {
 		return nil
@@ -146,8 +110,7 @@ func (p *Processor) decodeAndAdvance() error {
 			}
 		}
 		// Re-check the state: the slot may have halted or been flushed to
-		// idle by its own issue, in which case the split advance pass
-		// would not have visited it either.
+		// idle by its own issue, leaving nothing to advance.
 		if s.state == slotRunning && advanced&(1<<uint(slotID)) == 0 {
 			advanced |= 1 << uint(slotID)
 			p.advanceSlot(s, w)
@@ -171,11 +134,6 @@ func (p *Processor) decodeAndAdvance() error {
 func (p *Processor) issueFromSlot(s *slot) error {
 	if len(s.d2) == 0 {
 		p.stats.Slots[s.id].Stalls[StallEmpty]++
-		if p.hostSampled {
-			// The stall tally is per-cycle architectural state; recording
-			// it is the visit's work, so it counts as a hit.
-			p.touchSmp.SlotHits++
-		}
 		if p.observer != nil {
 			p.observer.Stall(p.cycle, s.id, -1, StallEmpty)
 		}
@@ -184,20 +142,14 @@ func (p *Processor) issueFromSlot(s *slot) error {
 	if p.cfg.IssueWidth == 1 {
 		// The paper's base design: the window holds a single candidate, so
 		// none of the wide path's intra-window hazard bookkeeping applies.
-		// decodePhase guarantees issueBudget > 0 on entry.
+		// decodeAndAdvance guarantees issueBudget > 0 on entry.
 		if s.stallUntil != 0 {
 			// The head is scoreboard-blocked and nothing that could unblock
 			// it has happened (see cacheHeadStall): tally the stall without
-			// re-deriving it. The tally is the visit's work, so the census
-			// counts a hit — exactly what the re-derivation would record,
-			// since a scoreboard miss fails before any queue census.
-			// Observed runs recompute so per-cycle Stall callbacks carry
-			// the head pc.
+			// re-deriving it. Observed runs recompute so per-cycle Stall
+			// callbacks carry the head pc.
 			if p.cycle < s.stallUntil && p.observer == nil {
 				p.stats.Slots[s.id].Stalls[s.stallReason]++
-				if p.hostSampled {
-					p.touchSmp.SlotHits++
-				}
 				return nil
 			}
 			s.stallUntil = 0
@@ -214,16 +166,10 @@ func (p *Processor) issueFromSlot(s *slot) error {
 			} else {
 				s.d2 = s.d2[:copy(s.d2, s.d2[1:])]
 			}
-			if p.hostSampled {
-				p.touchSmp.SlotHits++
-			}
 			return nil
 		}
 		if reason != StallNone {
 			p.stats.Slots[s.id].Stalls[reason]++
-			if p.hostSampled {
-				p.touchSmp.SlotHits++ // stall tally recorded (see above)
-			}
 			if p.observer != nil {
 				p.observer.Stall(p.cycle, s.id, s.d2[0].pc, reason)
 			}
@@ -255,9 +201,6 @@ func (p *Processor) issueFromSlot(s *slot) error {
 				// A branch or thread-control instruction redirected or
 				// ended the stream; everything younger is already flushed.
 				s.d2 = s.d2[:0]
-				if p.hostSampled {
-					p.touchSmp.SlotHits++
-				}
 				return nil
 			}
 			continue
@@ -288,14 +231,8 @@ func (p *Processor) issueFromSlot(s *slot) error {
 			keep = append(keep, di)
 		}
 		s.d2 = keep
-		if p.hostSampled {
-			p.touchSmp.SlotHits++
-		}
 	} else if firstStall != StallNone {
 		p.stats.Slots[s.id].Stalls[firstStall]++
-		if p.hostSampled {
-			p.touchSmp.SlotHits++ // stall tally recorded (see above)
-		}
 		if p.observer != nil {
 			p.observer.Stall(p.cycle, s.id, s.d2[0].pc, firstStall)
 		}
@@ -381,9 +318,6 @@ func (p *Processor) tryIssue(s *slot, di *dinstr, headClear bool, pendingDests, 
 		switch {
 		case dest == s.qOutInt, dest == s.qOutFP:
 			destQueue = true
-			if p.hostSampled {
-				p.touchSmp.QueueVisits++
-			}
 			if p.outQueue(s.id, dest.IsFP()).full() {
 				return false, StallQueueFull, false, nil
 			}
@@ -434,9 +368,6 @@ func (p *Processor) tryIssue(s *slot, di *dinstr, headClear bool, pendingDests, 
 		*ctx = issueCtx{p: p, s: s, f: f}
 		if destQueue {
 			ctx.push = p.outQueue(s.id, dest.IsFP()).reserve()
-			if p.hostSampled {
-				p.touchSmp.QueueHits++
-			}
 		}
 		out, eerr := exec.Execute(in, di.pc, ctx)
 		if eerr != nil {
@@ -495,9 +426,6 @@ func (p *Processor) sourcesReady(s *slot, f *contextFrame, srcs []isa.Reg) (bool
 				return false, StallData, f.readyAt[sbIndex(r)]
 			}
 		}
-	}
-	if p.hostSampled && (needIntPop || needFPPop) {
-		p.touchSmp.QueueVisits++
 	}
 	if needIntPop && p.inQueue(s.id, false).readyCount(p.cycle) < 1 {
 		return false, StallQueueEmpty, 0
@@ -748,9 +676,6 @@ func (p *Processor) kill(killer *slot) {
 func (p *Processor) noteIssued(s *slot, di *dinstr) {
 	p.stats.Slots[s.id].Issued++
 	p.stats.Instructions++
-	if p.hostSampled {
-		p.touchSmp.Issues++
-	}
 	p.touch(p.cycle)
 	if p.OnIssue != nil {
 		p.OnIssue(s.id, di.pc, p.cycle)

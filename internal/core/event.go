@@ -4,7 +4,7 @@ package core
 // queue and fetch unit each cycle, the cycle loop consumes explicit work
 // sets —
 //
-//   - a pending-event min-heap (evHeap) of future cycles at which *timed*
+//   - a pending-event set (evNear/evFar) of future cycles at which *timed*
 //     state can change: completions leaving the ring, functional units
 //     going free, fetch deliveries, context-switch rebind delays, and (via
 //     the separate waitHeap, which needs (when, id) ordering) remote-data
@@ -21,17 +21,16 @@ package core
 // step; *missing* an event would change results, so each push site is the
 // mutation that creates the future work. The quiescent jump of skip.go is
 // the degenerate case of this design — when the per-cycle dirty sets are
-// empty (runningSlots == 0), the next pending event IS the horizon, so the
-// old structural horizon scan survives only as the legacy fallback and
-// cross-check (Config.DisableEventCore, quiescentHorizonScan).
+// empty (runningSlots == 0), the next pending event IS the horizon.
+// TestEventHorizonNeverLate checks that horizon against a structural scan
+// of the machine state.
 //
-// Config.DisableEventCore disables the gates and the heap-based horizon
-// (the phases then re-scan everything, as the original loop did) but the
-// dirty sets are still maintained; the differential suites assert both
-// paths produce bit-identical results.
+// The core replaced a scan-everything cycle loop. That loop's results over
+// the differential workload matrix are recorded in the repository's
+// testdata/legacy_core.golden.json, and TestEventCoreDifferential* replay
+// the matrix against them.
 
-// pushEv schedules a future cycle at which timed state changes. No-op on
-// the legacy core: the scan horizon re-derives events structurally.
+// pushEv schedules a future cycle at which timed state changes.
 //
 // The pending-event set is split by distance. Events within the next 64
 // cycles — the overwhelming majority: unit frees, result completions,
@@ -40,9 +39,6 @@ package core
 // the cycle is one shift. Only far events (remote-memory completions,
 // long waits) pay for the evFar min-heap.
 func (p *Processor) pushEv(when uint64) {
-	if !p.eventCore {
-		return
-	}
 	d := when - p.cycle
 	if when <= p.cycle {
 		d = 1 // clamp stale pushes to the horizon floor
@@ -173,11 +169,11 @@ func (p *Processor) refreshFetchable(s *slot) {
 // sentinel-deadline stall — selectInstr draining this slot's standby
 // station or stamping its pending write — clears the cache explicitly.
 // A concrete deadline needs no invalidation at all: selections of other
-// registers cannot move it. Width-1 event core only: wide windows
-// re-derive intra-window hazards each cycle, and the priority interlock
-// (needsPrio) depends on rotation, so those never cache.
+// registers cannot move it. Width 1 only: wide windows re-derive
+// intra-window hazards each cycle, and the priority interlock (needsPrio)
+// depends on rotation, so those never cache.
 func (p *Processor) cacheHeadStall(s *slot, pre *insMeta, until uint64, reason StallReason) {
-	if p.eventCore && p.cfg.IssueWidth == 1 && !pre.needsPrio {
+	if p.cfg.IssueWidth == 1 && !pre.needsPrio {
 		s.stallUntil = until
 		s.stallReason = reason
 	}

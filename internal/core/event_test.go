@@ -2,8 +2,8 @@ package core
 
 // White-box proof that the pending-event set never drops a scheduled wake:
 // at every point the quiescent jump can arm, the heap-and-wheel horizon
-// (quiescentHorizonEvent) must not lie beyond the structural reference scan
-// (quiescentHorizonScan). An event horizon that is *early* merely costs one
+// (quiescentHorizon) must not lie beyond the structural reference scan
+// (quiescentHorizonScan, below). An event horizon that is *early* merely costs one
 // extra step — stale pushes are allowed — but a *late* horizon means some
 // resource's wake was never pushed, which would change results.
 
@@ -80,9 +80,6 @@ func TestEventHorizonNeverLate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !p.eventCore {
-				t.Fatal("event core not enabled by default")
-			}
 			for i := 0; i < tc.threads; i++ {
 				if err := p.StartThread(0); err != nil {
 					t.Fatal(err)
@@ -102,7 +99,7 @@ func TestEventHorizonNeverLate(t *testing.T) {
 				}
 				if p.runningSlots == 0 && p.skipEnabled() {
 					checks++
-					ev := p.quiescentHorizonEvent()
+					ev := p.quiescentHorizon()
 					sc := p.quiescentHorizonScan()
 					if ev > sc {
 						t.Fatalf("cycle %d: event horizon %d beyond structural horizon %d (dropped wake)",
@@ -119,4 +116,87 @@ func TestEventHorizonNeverLate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// quiescentHorizonScan recomputes the quiescent horizon structurally from
+// the machine state, independent of the pending-event set; it is the
+// reference TestEventHorizonNeverLate checks quiescentHorizon against.
+// Every candidate is conservative: reporting an event too early merely costs a normal step,
+// while missing one would alter results — so each machine resource that
+// can wake the pipeline contributes its own bound:
+//
+//   - completion ring: the next non-empty retire list (outstanding > 0);
+//   - wait heap: the earliest frame wake deadline (stale entries are at
+//     worst early, never late);
+//   - ready queue: the earliest rebind time of an idle slot;
+//   - standby stations/latches: for each class with issued-but-unselected
+//     instructions, the first cycle a unit of that class is free
+//     (busyUntil + 1, since schedulePhase requires busyUntil < cycle);
+//   - draining slots that have fully drained: they unbind at the very next
+//     bindSlots, so the horizon collapses to cycle+1;
+//   - busy fetch units: their delivery cycle (deliveries into non-running
+//     slots are dropped, but the drop itself must happen on time so the
+//     unit frees up on the cycle stepping would free it).
+//
+// Idle fetch units need no bound: startFetch only serves running slots.
+// If no resource reports an event the machine can never make progress
+// (and finished() was false), i.e. a genuine deadlock: return MaxCycles so
+// Run raises the same diagnostic the cycle-by-cycle loop would reach.
+func (p *Processor) quiescentHorizonScan() uint64 {
+	floor := p.cycle + 1
+	t := uint64(noEvent)
+
+	if p.outstanding > 0 {
+		for d := uint64(1); d <= p.compMask+1; d++ {
+			if len(p.completions[(p.cycle+d)&p.compMask]) > 0 {
+				t = minEvent(t, p.cycle+d)
+				break
+			}
+		}
+	}
+	if len(p.waitHeap) > 0 {
+		t = minEvent(t, maxU(p.waitHeap[0].when, floor))
+	}
+	if len(p.readyQ) > 0 {
+		for _, s := range p.slots {
+			if s.state == slotIdle {
+				t = minEvent(t, maxU(s.bindReadyAt, floor))
+			}
+		}
+	}
+	if p.issuedPending > 0 {
+		var classes [unitClassCount]bool
+		for _, s := range p.slots {
+			if s.latch != nil {
+				classes[s.latch.class] = true
+			}
+			for cls, st := range s.standby {
+				if len(st) > 0 {
+					classes[cls] = true
+				}
+			}
+		}
+		for cls, need := range classes {
+			if !need {
+				continue
+			}
+			for _, u := range p.unitsByCls[cls] {
+				t = minEvent(t, maxU(u.busyUntil+1, floor))
+			}
+		}
+	}
+	for _, s := range p.slots {
+		if s.state == slotDraining && s.outstanding == 0 && s.issuedEmpty() {
+			t = minEvent(t, floor) // unbinds at the next bindSlots
+		}
+	}
+	for _, fu := range p.fetchers {
+		if fu.busy {
+			t = minEvent(t, maxU(fu.busyUntil, floor))
+		}
+	}
+	if t == noEvent {
+		return p.cfg.MaxCycles
+	}
+	return t
 }

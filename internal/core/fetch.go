@@ -7,31 +7,15 @@ func (p *Processor) fetcherFor(slotID int) *fetchUnit {
 	return p.fetchers[slotID%len(p.fetchers)]
 }
 
-// advanceDecodeStages moves instructions D1→D2 and buffer→D1. Each stage
-// holds up to IssueWidth instructions and advances once per cycle, so an
-// instruction spends one cycle in each decode stage. D1 occupants are not
-// copied anywhere: the first d1n ring entries ARE stage D1, so entering D1
-// is a counter increment and only the D1→D2 move materializes the dinstr.
-// Slots that provably cannot move anything — nothing upstream, or both
-// stages full — are filtered by O(1) state checks on both cores
-// (result-neutral: the loops below would be no-ops for them).
-func (p *Processor) advanceDecodeStages() {
-	if p.eventCore && p.runningSlots == 0 {
-		return
-	}
-	w := p.cfg.IssueWidth
-	for _, s := range p.slots {
-		if s.state != slotRunning {
-			continue
-		}
-		p.advanceSlot(s, w)
-	}
-}
-
-// advanceSlot advances one running slot's decode stages by one cycle. The
-// move set is slot-local (own buffer, D1 counter, D2 window, and the
-// slot's bit in the fetchable set), which is what lets decodeAndAdvance
-// interleave it with issue on other slots without changing results.
+// advanceSlot advances one running slot's decode stages by one cycle:
+// D1→D2 and buffer→D1. Each stage holds up to w (IssueWidth) instructions
+// and advances once per cycle, so an instruction spends one cycle in each
+// decode stage. D1 occupants are not copied anywhere: the first d1n ring
+// entries ARE stage D1, so entering D1 is a counter increment and only the
+// D1→D2 move materializes the dinstr. The move set is slot-local (own
+// buffer, D1 counter, D2 window, and the slot's bit in the fetchable set),
+// which is what lets decodeAndAdvance interleave it with issue on other
+// slots without changing results.
 func (p *Processor) advanceSlot(s *slot, w int) {
 	if s.buf.len() == 0 {
 		return // D1 and the buffer are both empty: nothing to move in
@@ -39,55 +23,41 @@ func (p *Processor) advanceSlot(s *slot, w int) {
 	if len(s.d2) >= w && s.d1n >= w {
 		return // no space anywhere
 	}
-	if p.hostSampled {
-		p.touchSmp.SlotVisits++
-	}
-	moved := false
 	for len(s.d2) < w && s.d1n > 0 {
 		s.d2 = append(s.d2, s.buf.front().d)
 		s.buf.popFront()
 		s.d1n--
-		moved = true
 	}
 	popped := false
 	for s.d1n < w && s.buf.len() > s.d1n && s.buf.at(s.d1n).minD1 <= p.cycle {
 		s.d1n++
-		moved, popped = true, true
+		popped = true
 	}
 	if popped {
 		p.refreshFetchable(s) // buffer space opened up
-	}
-	if moved && p.hostSampled {
-		p.touchSmp.SlotHits++
 	}
 }
 
 // fetchPhase advances every instruction fetch unit: finish in-flight cache
 // accesses (delivering B = S×C×D instructions into the target slot's
 // instruction queue buffer) and start the next access. Branch redirects
-// preempt the round-robin fill order (§2.1.1). The event core's work set
-// is busy units (a timed event), pending redirects, and the fetchable
-// dirty set; with all three empty the phase is a no-op.
+// preempt the round-robin fill order (§2.1.1). The phase's work set is
+// busy units (a timed event), pending redirects, and the fetchable dirty
+// set; with all three empty the phase is a no-op.
 func (p *Processor) fetchPhase() {
-	if p.eventCore && p.busyFetchers == 0 && p.pendingRedirects == 0 && p.fetchable == 0 {
+	if p.busyFetchers == 0 && p.pendingRedirects == 0 && p.fetchable == 0 {
 		return
 	}
 	for i, fu := range p.fetchers {
 		if fu.busy {
 			if p.cycle < fu.busyUntil {
-				continue // timed wait, not a structure visit
-			}
-			if p.hostSampled {
-				p.touchSmp.FetchVisits++
+				continue
 			}
 			p.deliver(fu)
 			continue // the unit restarts next cycle
 		}
-		if p.eventCore && len(fu.redirects) == 0 && p.fetchable&fu.slotMask == 0 {
+		if len(fu.redirects) == 0 && p.fetchable&fu.slotMask == 0 {
 			continue
-		}
-		if p.hostSampled {
-			p.touchSmp.FetchVisits++
 		}
 		p.startFetch(i, fu)
 	}
@@ -123,10 +93,6 @@ func (p *Processor) deliver(fu *fetchUnit) {
 		s.buf.n += n
 	}
 	p.refreshFetchable(s)
-	if p.hostSampled {
-		p.touchSmp.FetchHits++
-		p.touchSmp.SlotHits++
-	}
 	p.touch(p.cycle + 1)
 }
 
@@ -158,11 +124,8 @@ func (p *Processor) startFetch(fuIndex int, fu *fetchUnit) {
 		if id%units != fuIndex {
 			continue
 		}
-		if p.eventCore && p.fetchable&slotBit(id) == 0 {
+		if p.fetchable&slotBit(id) == 0 {
 			continue // not in the dirty set: cannot want a fill
-		}
-		if p.hostSampled {
-			p.touchSmp.SlotVisits++
 		}
 		if p.wantsFetch(p.slots[id]) {
 			fu.rr = id
@@ -199,9 +162,6 @@ func (p *Processor) beginAccess(fu *fetchUnit, slotID int) {
 		s.fetchDone = true
 		p.refreshFetchable(s)
 		return
-	}
-	if p.hostSampled {
-		p.touchSmp.FetchHits++
 	}
 	lat := fu.icache.Access(s.fetchPC)
 	fu.busy = true

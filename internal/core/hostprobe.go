@@ -6,10 +6,11 @@ package core
 // discipline, so the disabled path stays allocation-free and
 // branch-predictable. Unlike Observer, attaching a HostProbe does NOT
 // disable quiescent-cycle skipping (skip.go): the probe watches the
-// simulator's phases and data-structure touches, which are defined per
-// *executed* step, and it learns about skipped stretches through SkipJump —
-// so a profiled run remains cycle-exact and result-identical to an
-// unprofiled one.
+// simulator's phases, which are defined per *executed* step, and it learns
+// about skipped stretches through SkipJump — so a profiled run remains
+// cycle-exact and result-identical to an unprofiled one. Sampled and
+// unsampled steps run the same code; sampling only adds the phase-boundary
+// callbacks.
 //
 // All wall-clock timing lives on the probe side (internal/hostobs), never
 // here: the cycle loop only reports phase boundaries on steps the probe
@@ -25,21 +26,20 @@ package core
 type HostPhase uint8
 
 const (
-	HostPhaseRotation     HostPhase = iota // rotatePriorities
-	HostPhaseCompletion                    // retireCompletions
-	HostPhaseWake                          // wakeFrames
-	HostPhaseBind                          // bindSlots
-	HostPhaseSelect                        // schedulePhase (instruction schedule units)
-	HostPhaseIssue                         // decodePhase (decode units, stage D2)
-	HostPhaseDecodeBuffer                  // advanceDecodeStages (buffer→D1→D2)
-	HostPhaseFetch                         // fetchPhase (instruction fetch units)
-	HostPhaseSkip                          // advanceCycle event-horizon machinery (only when it arms)
+	HostPhaseRotation   HostPhase = iota // rotatePriorities
+	HostPhaseCompletion                  // retireCompletions
+	HostPhaseWake                        // wakeFrames
+	HostPhaseBind                        // bindSlots
+	HostPhaseSelect                      // schedulePhase (instruction schedule units)
+	HostPhaseDecode                      // decodeAndAdvance (decode units: D2 issue, buffer→D1→D2)
+	HostPhaseFetch                       // fetchPhase (instruction fetch units)
+	HostPhaseSkip                        // advanceCycle event-horizon machinery (only when it arms)
 	NumHostPhases
 )
 
 var hostPhaseNames = [NumHostPhases]string{
 	"rotation", "completion", "wake", "bind", "issue-select",
-	"decode-issue", "decode-buffer", "fetch", "event-horizon",
+	"decode", "fetch", "event-horizon",
 }
 
 // String returns the stable phase name used in profiles, traces and
@@ -51,41 +51,12 @@ func (ph HostPhase) String() string {
 	return "unknown"
 }
 
-// TouchSample is the structure-touch census of one sampled step. For each
-// per-cycle structure it counts *visits* — loop bodies that executed past
-// the O(1) dirty-set filter — and *hits* — visits that performed or
-// recorded work (moving an instruction, selecting onto a unit, popping a
-// queue entry, or tallying a per-cycle architectural stall: the tally is
-// state the machine must record, so recording it is the visit's work).
-//
-// On the event-driven core (event.go) the visit count is what the dirty
-// sets let through, so hits/visits is the dirty-set *hit rate*. On the
-// legacy scan core (Config.DisableEventCore) the same counting sites see
-// every entry the full scan walks, so 1 − hits/visits is the scan *waste*
-// the event core eliminates. The two runs are directly comparable because
-// the hit sites are identical in both modes.
+// TouchSample describes one sampled step: the simulated cycle it ran and
+// how many thread slots were running when it started. The type keeps its
+// name for existing HostProbe implementations.
 type TouchSample struct {
 	Cycle        uint64
 	RunningSlots uint64 // slots in slotRunning at step start
-
-	SlotVisits uint64 // slot loop bodies run (bind, select, issue, buffer, fetch RR)
-	SlotHits   uint64 // slot visits that moved, issued, stalled-and-tallied, bound or unbound
-
-	UnitVisits uint64 // functional units examined by schedulePhase
-	UnitHits   uint64 // instructions committed to a unit
-
-	QueueVisits uint64 // queue-register readiness/capacity checks in decode
-	QueueHits   uint64 // queue entries actually popped or reserved
-
-	FrameVisits uint64 // wait-heap entries examined by wakeFrames
-	FrameHits   uint64 // frames transitioned waiting→ready
-
-	FetchVisits uint64 // fetch units examined by fetchPhase
-	FetchHits   uint64 // accesses started or delivered
-
-	Issues  uint64 // instructions leaving a decode unit
-	Retires uint64 // completions credited this step
-	Binds   uint64 // frames bound to slots
 }
 
 // HostProbe observes the simulator's own execution. StepStart is called at
@@ -96,15 +67,15 @@ type TouchSample struct {
 // at HostPhaseFetch. SkipJump reports every quiescent fast-forward
 // regardless of sampling. RunEnd fires once when Run returns successfully.
 //
-// Implementations must not retain the TouchSample beyond StepEnd and must
-// not mutate processor state; internal/hostobs provides the standard one.
+// Implementations must not mutate processor state; internal/hostobs
+// provides the standard one.
 type HostProbe interface {
 	// StepStart reports a new stepCycle at the given simulated cycle and
-	// returns whether to sample it (timing + touch census).
+	// returns whether to sample it (phase timing).
 	StepStart(cycle uint64) bool
 	// PhaseEnd marks the end of one phase of a sampled step.
 	PhaseEnd(ph HostPhase)
-	// StepEnd delivers the touch census of a sampled step.
+	// StepEnd closes a sampled step.
 	StepEnd(t TouchSample)
 	// SkipJump reports a quiescent-cycle fast-forward from cycle `from`
 	// directly to cycle `to` (skipping to-from stepCycle invocations).

@@ -16,22 +16,15 @@ import (
 // cycle at which a dependent instruction may pass decode, which reproduces
 // the paper's 3-cycle dependent-issue distance for 2-cycle results.
 //
-// The event core consumes the classMask dirty set: the classDirty summary
+// The phase consumes the classMask dirty set: the classDirty summary
 // names the classes with issued work (clean classes are never touched),
 // and the per-class scan visits only slots whose mask bit is set, in
 // thread-priority order via the prioIdx rank table — the same slots, in
-// the same order, the legacy full scan would have found candidates in.
+// the same order, as a walk of every slot in p.prio.
 func (p *Processor) schedulePhase() {
-	if !p.eventCore {
-		p.schedulePhaseScan()
-		return
-	}
 	for dirty := p.classDirty; dirty != 0; dirty &= dirty - 1 {
 		cls := isa.UnitClass(bits.TrailingZeros32(dirty))
 		units := p.unitsByCls[cls]
-		if p.hostSampled {
-			p.touchSmp.UnitVisits += uint64(len(units))
-		}
 		free := p.freeUnits[:0]
 		for _, u := range units {
 			if u.busyUntil < p.cycle {
@@ -56,64 +49,6 @@ func (p *Processor) schedulePhase() {
 				}
 			}
 			pending &^= slotBit(slotID)
-			if p.hostSampled {
-				p.touchSmp.SlotVisits++
-			}
-			s := p.slots[slotID]
-			var inf *inflight
-			if p.cfg.StandbyStations {
-				if len(s.standby[cls]) > 0 {
-					inf = s.standby[cls][0]
-				}
-			} else if s.latch != nil && s.latch.class == cls {
-				inf = s.latch
-			}
-			if inf == nil {
-				continue
-			}
-			u := free[0]
-			free = free[1:]
-			p.selectInstr(u, inf)
-			if p.cfg.StandbyStations {
-				q := s.standby[cls]
-				s.standby[cls] = q[:copy(q, q[1:])]
-				if len(s.standby[cls]) == 0 {
-					p.clearClassSlot(int(cls), slotBit(slotID))
-				}
-			} else {
-				s.latch = nil
-				p.clearClassSlot(int(cls), slotBit(slotID))
-			}
-			p.freeInflight(inf)
-			p.issuedPending--
-		}
-	}
-}
-
-// schedulePhaseScan is the legacy scan path: every class, every unit, every
-// slot in priority order, each cycle.
-func (p *Processor) schedulePhaseScan() {
-	for cls := isa.UnitClass(1); int(cls) < unitClassCount; cls++ {
-		units := p.unitsByCls[cls]
-		if p.hostSampled {
-			p.touchSmp.UnitVisits += uint64(len(units))
-		}
-		free := p.freeUnits[:0]
-		for _, u := range units {
-			if u.busyUntil < p.cycle {
-				free = append(free, u)
-			}
-		}
-		if len(free) == 0 {
-			continue
-		}
-		for _, slotID := range p.prio {
-			if len(free) == 0 {
-				break
-			}
-			if p.hostSampled {
-				p.touchSmp.SlotVisits++
-			}
 			s := p.slots[slotID]
 			var inf *inflight
 			if p.cfg.StandbyStations {
@@ -158,10 +93,6 @@ func (p *Processor) selectInstr(u *funcUnit, inf *inflight) {
 	// The unit frees at busyUntil+1 (schedulePhase needs busyUntil < cycle);
 	// a standby entry of this class may be waiting for exactly that cycle.
 	p.pushEv(u.busyUntil + 1)
-	if p.hostSampled {
-		p.touchSmp.UnitHits++
-		p.touchSmp.SlotHits++
-	}
 
 	ready := p.cycle + resultLat
 	if inf.frame >= 0 {

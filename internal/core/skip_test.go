@@ -207,3 +207,23 @@ func TestFastForwardRotation(t *testing.T) {
 		}
 	}
 }
+
+// finishedScan is the full-scan implementation of finished that the live
+// counters replaced; TestFinishedMatchesScan asserts the two agree every
+// cycle.
+func (p *Processor) finishedScan() bool {
+	if p.outstanding > 0 || len(p.readyQ) > 0 {
+		return false
+	}
+	for _, f := range p.frames {
+		if f.state == frameRunning || f.state == frameWaiting || f.state == frameReady {
+			return false
+		}
+	}
+	for _, s := range p.slots {
+		if s.state != slotIdle || s.d1n+len(s.d2) > 0 || !s.issuedEmpty() {
+			return false
+		}
+	}
+	return true
+}

@@ -2,10 +2,8 @@
 // self-observability for the cycle loop (internal/core), the sweep engine
 // (internal/sweep) and the benchmark harness. Where internal/obs explains
 // the *simulated* machine, hostobs explains the *simulator* — which phase
-// of stepCycle the wall-clock goes to, what fraction of per-cycle structure
-// scans touch state that actually changed (the opportunity ROADMAP item 2's
-// event-driven "dirty-set" core would harvest), and how sweep workers fill
-// their timelines.
+// of stepCycle the wall-clock goes to, how many cycles the event horizon
+// jumps instead of stepping, and how sweep workers fill their timelines.
 //
 // The Profiler implements core.HostProbe with the nil-observer discipline:
 // detached, the cycle loop pays one nil check per step; attached, only
@@ -13,12 +11,13 @@
 // a few percent (BenchmarkSimulatorThroughputSelfProfile pins ≤5%).
 // Attaching a Profiler does not disable quiescent-cycle skipping and does
 // not perturb simulation results — a profiled run is result-identical to an
-// unprofiled one (TestSelfProfileDifferential).
+// unprofiled one (TestProfiledRunIsResultIdentical).
 package hostobs
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -31,10 +30,10 @@ import (
 )
 
 // DefaultSampleEvery is the default sampling interval: one in every 128
-// stepCycle invocations is timed and touch-censused. A sampled step pays
-// nine clock reads (one per phase boundary); the event-driven core stepped
-// cycles fast enough that the old 1/32 default no longer fit inside the
-// documented 5% overhead budget on hosts with slow clock sources.
+// stepCycle invocations is timed. A sampled step pays one clock read per
+// phase boundary; the event-driven core stepped cycles fast enough that
+// the old 1/32 default no longer fit inside the documented 5% overhead
+// budget on hosts with slow clock sources.
 const DefaultSampleEvery = 128
 
 // DefaultTraceCap bounds the per-step sample ring retained for the host
@@ -51,15 +50,16 @@ type Options struct {
 }
 
 // StepSample is one sampled step retained for the host trace: where it sat
-// on the host clock, how long each phase took, and its touch census.
+// on the host clock, how long each phase took, and how many thread slots
+// were running when it started.
 type StepSample struct {
 	Cycle   uint64
 	StartNs uint64 // host ns since the profiler was created
 	// PhaseNs holds per-phase durations. HostPhaseSkip is always zero in
 	// per-step samples (the skip machinery runs between steps and is
 	// charged to the aggregate only).
-	PhaseNs [core.NumHostPhases]uint64
-	Touch   core.TouchSample
+	PhaseNs      [core.NumHostPhases]uint64
+	RunningSlots uint64
 }
 
 // SkipEvent records one quiescent-cycle fast-forward for the host trace.
@@ -68,46 +68,9 @@ type SkipEvent struct {
 	AtNs     uint64 // host ns since profiler creation
 }
 
-// TouchTotals aggregates the touch census over all sampled steps. Visits
-// count loop bodies that ran past the O(1) dirty-set filter; hits count
-// visits that performed or recorded work (see core.TouchSample). On the
-// event core hits/visits is the dirty-set hit rate; on the legacy scan core
-// 1 − hits/visits is the scan waste the event core eliminates.
-type TouchTotals struct {
-	SlotVisits  uint64 `json:"slot_visits"`
-	SlotHits    uint64 `json:"slot_hits"`
-	UnitVisits  uint64 `json:"unit_visits"`
-	UnitHits    uint64 `json:"unit_hits"`
-	QueueVisits uint64 `json:"queue_visits"`
-	QueueHits   uint64 `json:"queue_hits"`
-	FrameVisits uint64 `json:"frame_visits"`
-	FrameHits   uint64 `json:"frame_hits"`
-	FetchVisits uint64 `json:"fetch_visits"`
-	FetchHits   uint64 `json:"fetch_hits"`
-	Issues      uint64 `json:"issues"`
-	Retires     uint64 `json:"retires"`
-	Binds       uint64 `json:"binds"`
-}
-
-func (t *TouchTotals) add(s core.TouchSample) {
-	t.SlotVisits += s.SlotVisits
-	t.SlotHits += s.SlotHits
-	t.UnitVisits += s.UnitVisits
-	t.UnitHits += s.UnitHits
-	t.QueueVisits += s.QueueVisits
-	t.QueueHits += s.QueueHits
-	t.FrameVisits += s.FrameVisits
-	t.FrameHits += s.FrameHits
-	t.FetchVisits += s.FetchVisits
-	t.FetchHits += s.FetchHits
-	t.Issues += s.Issues
-	t.Retires += s.Retires
-	t.Binds += s.Binds
-}
-
 // Profiler implements core.HostProbe: sampled wall-time phase attribution
-// plus structure-touch accounting, safe for concurrent reads (the
-// /hostmetrics handler scrapes while the simulation loop writes).
+// and skip accounting, safe for concurrent reads (the /hostmetrics handler
+// scrapes while the simulation loop writes).
 type Profiler struct {
 	opt   Options
 	epoch time.Time
@@ -127,7 +90,6 @@ type Profiler struct {
 	mu           sync.Mutex
 	sampledSteps uint64
 	phaseNanos   [core.NumHostPhases]uint64
-	touch        TouchTotals
 	ring         []StepSample // circular, cap = opt.TraceCap
 	ringNext     int          // next write position once len == cap
 	skipJumps    uint64
@@ -199,17 +161,16 @@ func (p *Profiler) PhaseEnd(ph core.HostPhase) {
 // StepEnd folds the sampled step into the aggregates and the trace ring.
 func (p *Profiler) StepEnd(t core.TouchSample) {
 	s := StepSample{
-		Cycle:   t.Cycle,
-		StartNs: uint64(p.cur.t0.Sub(p.epoch)),
-		PhaseNs: p.cur.phase,
-		Touch:   t,
+		Cycle:        t.Cycle,
+		StartNs:      uint64(p.cur.t0.Sub(p.epoch)),
+		PhaseNs:      p.cur.phase,
+		RunningSlots: t.RunningSlots,
 	}
 	p.mu.Lock()
 	p.sampledSteps++
 	for i, d := range p.cur.phase {
 		p.phaseNanos[i] += d
 	}
-	p.touch.add(t)
 	if len(p.ring) < cap(p.ring) {
 		p.ring = append(p.ring, s)
 	} else if cap(p.ring) > 0 {
@@ -331,13 +292,6 @@ func (pp PhaseProfile) Format() string {
 	return b.String()
 }
 
-// Totals snapshots the touch-census aggregate.
-func (p *Profiler) Totals() (TouchTotals, uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.touch, p.sampledSteps
-}
-
 // Samples returns the retained step samples in chronological order and the
 // retained skip events.
 func (p *Profiler) Samples() ([]StepSample, []SkipEvent) {
@@ -360,14 +314,15 @@ func (p *Profiler) Samples() ([]StepSample, []SkipEvent) {
 	return out, sk
 }
 
-// WriteJSON emits the phase profile and opportunity report as one JSON
-// document (the -self-profile-json artifact).
+// WriteJSON emits the phase profile as an indented JSON document (the
+// -self-profile-json artifact).
 func (p *Profiler) WriteJSON(w io.Writer) error {
 	type doc struct {
-		Profile     PhaseProfile      `json:"phase_profile"`
-		Opportunity OpportunityReport `json:"opportunity"`
+		Profile PhaseProfile `json:"phase_profile"`
 	}
-	return writeJSON(w, doc{Profile: p.Profile(), Opportunity: p.Opportunity()})
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc{Profile: p.Profile()})
 }
 
 // ProfileDigest returns the sha256 hex of the profiler's JSON export — the

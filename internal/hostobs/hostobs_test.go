@@ -38,17 +38,12 @@ loop:	mul  r2, r2, r1
 
 func runProfiled(t *testing.T, opt Options) (*Profiler, core.Result) {
 	t.Helper()
-	return runProfiledCfg(t, opt, core.Config{ThreadSlots: 2, StandbyStations: true})
-}
-
-func runProfiledCfg(t *testing.T, opt Options, cfg core.Config) (*Profiler, core.Result) {
-	t.Helper()
 	prog := asm.MustAssemble(loopSrc)
 	m, err := prog.NewMemory(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.New(cfg, prog.Text, m)
+	p, err := core.New(core.Config{ThreadSlots: 2, StandbyStations: true}, prog.Text, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +68,7 @@ func TestProfilerObservesRun(t *testing.T) {
 	if pp.SampledNanos == 0 {
 		t.Error("no phase time recorded")
 	}
-	// Every stepCycle runs all eight in-step phases; their ns must sum to
+	// Every stepCycle runs all seven in-step phases; their ns must sum to
 	// the total minus the skip machinery.
 	var inStep uint64
 	for ph := core.HostPhase(0); ph < core.HostPhaseSkip; ph++ {
@@ -84,58 +79,6 @@ func TestProfilerObservesRun(t *testing.T) {
 	}
 	if s := pp.Format(); len(s) == 0 || !bytes.Contains([]byte(s), []byte("issue-select")) {
 		t.Errorf("Format missing phase rows:\n%s", s)
-	}
-}
-
-func TestOpportunityReportTwoCores(t *testing.T) {
-	// Legacy scan core: the full per-cycle scans waste a substantial
-	// fraction of their visits on this single-thread countdown.
-	legacyProf, _ := runProfiledCfg(t, Options{SampleEvery: 1},
-		core.Config{ThreadSlots: 2, StandbyStations: true, DisableEventCore: true})
-	legacy := legacyProf.Opportunity()
-	if legacy.SampledSteps == 0 || legacy.TotalScans == 0 {
-		t.Fatalf("empty legacy report: %+v", legacy)
-	}
-	if legacy.WastedFrac <= 0 || legacy.WastedFrac >= 1 {
-		t.Errorf("legacy wasted fraction %v outside (0,1): a scanning core must waste some visits and use others", legacy.WastedFrac)
-	}
-
-	// Event core: the dirty sets admit far fewer visits, so the hit rate
-	// must beat the legacy core's on the same workload.
-	eventProf, _ := runProfiled(t, Options{SampleEvery: 1})
-	event := eventProf.Opportunity()
-	if event.SampledSteps == 0 || event.TotalScans == 0 {
-		t.Fatalf("empty event report: %+v", event)
-	}
-	if event.HitRate <= legacy.HitRate {
-		t.Errorf("event-core hit rate %.3f not above legacy %.3f", event.HitRate, legacy.HitRate)
-	}
-	if event.TotalScans >= legacy.TotalScans {
-		t.Errorf("event core made %d visits, legacy %d: dirty sets harvested nothing", event.TotalScans, legacy.TotalScans)
-	}
-	for _, rep := range []OpportunityReport{legacy, event} {
-		for _, r := range rep.Rows {
-			if r.Touches > r.Scans {
-				t.Errorf("structure %s: hits %d > visits %d", r.Name, r.Touches, r.Scans)
-			}
-			if want := 1 - r.HitRate; r.Scans > 0 && (r.WastedFrac-want) > 1e-12 {
-				t.Errorf("structure %s: wasted %v != 1-hit %v", r.Name, r.WastedFrac, want)
-			}
-		}
-	}
-
-	h := Harvest(legacy, event)
-	if h.HarvestedFrac <= 0 || h.HarvestedFrac >= 1 {
-		t.Errorf("harvested fraction %v outside (0,1)", h.HarvestedFrac)
-	}
-	if h.RemainingWaste != event.WastedFrac {
-		t.Errorf("remaining waste %v != event wasted fraction %v", h.RemainingWaste, event.WastedFrac)
-	}
-	if s := h.Format(); !bytes.Contains([]byte(s), []byte("harvested")) {
-		t.Errorf("Harvest Format missing the comparison:\n%s", s)
-	}
-	if s := event.Format(); !bytes.Contains([]byte(s), []byte("dirty-set")) {
-		t.Errorf("Format missing the dirty-set framing:\n%s", s)
 	}
 }
 

@@ -18,8 +18,7 @@ type Export struct {
 
 // WriteHostPrometheus writes the Prometheus text exposition of the
 // simulator's own execution: build identity, cycle-loop phase nanoseconds,
-// the structure-touch census with per-structure wasted-scan fractions, skip
-// statistics and sweep telemetry. Naming follows the /metrics conventions
+// skip statistics and sweep telemetry. Naming follows the /metrics conventions
 // (hirata_ namespace, counters end in _total; promlint-checked by
 // TestHostPrometheusExpositionLint).
 func (e Export) WriteHostPrometheus(w io.Writer) error {
@@ -46,7 +45,7 @@ func writeProfilerProm(p func(string, ...any), prof *Profiler) {
 	p("# HELP hirata_host_steps_total Cycle-loop steps executed (stepCycle invocations).\n" +
 		"# TYPE hirata_host_steps_total counter\n")
 	p("hirata_host_steps_total %d\n", pp.Steps)
-	p("# HELP hirata_host_sampled_steps_total Steps sampled for phase timing and touch census.\n" +
+	p("# HELP hirata_host_sampled_steps_total Steps sampled for phase timing.\n" +
 		"# TYPE hirata_host_sampled_steps_total counter\n")
 	p("hirata_host_sampled_steps_total %d\n", pp.SampledSteps)
 	p("# HELP hirata_host_sim_cycles_total Simulated cycles completed by profiled runs.\n" +
@@ -66,24 +65,6 @@ func writeProfilerProm(p func(string, ...any), prof *Profiler) {
 	for ph := core.HostPhase(0); ph < core.NumHostPhases; ph++ {
 		p("hirata_host_phase_nanoseconds_total{phase=%q} %d\n", ph.String(), pp.Phases[ph].Nanos)
 	}
-
-	rep := prof.Opportunity()
-	p("# HELP hirata_host_structure_scans_total Structure visits: loop bodies run past the dirty-set filter (sampled steps).\n" +
-		"# TYPE hirata_host_structure_scans_total counter\n")
-	for _, r := range rep.Rows {
-		p("hirata_host_structure_scans_total{structure=%q} %d\n", r.Name, r.Scans)
-	}
-	p("# HELP hirata_host_structure_touches_total Structure hits: visits that performed or recorded work (sampled steps).\n" +
-		"# TYPE hirata_host_structure_touches_total counter\n")
-	for _, r := range rep.Rows {
-		p("hirata_host_structure_touches_total{structure=%q} %d\n", r.Name, r.Touches)
-	}
-	p("# HELP hirata_host_wasted_scan_fraction Fraction of visits that did no work (legacy core: waste the dirty sets eliminate; event core: waste remaining).\n" +
-		"# TYPE hirata_host_wasted_scan_fraction gauge\n")
-	for _, r := range rep.Rows {
-		p("hirata_host_wasted_scan_fraction{structure=%q} %g\n", r.Name, r.WastedFrac)
-	}
-	p("hirata_host_wasted_scan_fraction{structure=\"all\"} %g\n", rep.WastedFrac)
 }
 
 func writeSweepProm(p func(string, ...any), rec *SweepRecorder) {

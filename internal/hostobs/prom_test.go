@@ -100,8 +100,7 @@ func TestHostPrometheusExpositionLint(t *testing.T) {
 	for _, want := range []string{
 		"hirata_build_info",
 		"hirata_host_phase_nanoseconds_total",
-		"hirata_host_structure_scans_total",
-		"hirata_host_wasted_scan_fraction",
+		"hirata_host_skipped_cycles_total",
 		"hirata_host_sweep_cells_total",
 	} {
 		if _, ok := metas[want]; !ok {

@@ -12,7 +12,7 @@ import (
 // microsecond):
 //
 //	pid 1  "host cycle loop"   — tid 0: per-sampled-step phase slices;
-//	                             skip-jump instants; ns/step + scans/step
+//	                             skip-jump instants; ns/step + running-slots
 //	                             counters
 //	pid 2  "sweep workers"     — tid = worker id: one slice per cell;
 //	                             pending-cells counter
@@ -62,7 +62,7 @@ func writeLoopTrack(tw *obs.TraceWriter, p *Profiler) {
 		}
 		tw.Counter(hostLoopPID, hostLoopTID, "step ns", ts, map[string]any{"ns": total})
 		tw.Counter(hostLoopPID, hostLoopTID, "running slots", ts,
-			map[string]any{"slots": s.Touch.RunningSlots})
+			map[string]any{"slots": s.RunningSlots})
 	}
 	for _, sk := range skips {
 		tw.Instant(hostLoopPID, hostLoopTID, "skip jump", sk.AtNs/1000, "p",

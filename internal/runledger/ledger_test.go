@@ -204,7 +204,7 @@ func TestRunKeySensitivity(t *testing.T) {
 		t.Error("config change did not move the run key")
 	}
 	// Result-neutral knob does not.
-	neutral := core.Config{ThreadSlots: 2, DisableEventCore: true, MaxCycles: 999}
+	neutral := core.Config{ThreadSlots: 2, DisableCycleSkip: true, StrictVerify: true, MaxCycles: 999}
 	if Begin(neutral, text, mem.NewMemory(16), nil).Key() != key {
 		t.Error("result-neutral knobs moved the run key")
 	}

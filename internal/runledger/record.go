@@ -5,17 +5,17 @@
 //
 //   - the run key identifies the *inputs*: hash(program bytes, initial
 //     memory image, start PCs, canonical machine configuration). The
-//     simulator is deterministic — the differential suites prove the event
-//     core, the legacy scan core, quiescent skipping and observed runs all
-//     produce bit-identical Results — so the run key is a correct cache
-//     key: equal keys imply equal outputs. ROADMAP item 1's result cache
-//     keys on exactly this.
+//     simulator is deterministic — the differential suites prove quiescent
+//     skipping and observed runs produce bit-identical Results, and the
+//     legacy-core golden (testdata/legacy_core.golden.json at the
+//     repository root) pins Results across the retired second cycle core —
+//     so the run key is a correct cache key: equal keys imply equal
+//     outputs. ROADMAP item 1's result cache keys on exactly this.
 //   - the content hash identifies the *record*: hash of the canonical
 //     serialized payload (inputs + result metrics + cycle stack + optional
 //     exact CPI stack, static bounds and host-profile digest). Re-recording
 //     the same run in the same mode reproduces the content hash byte for
-//     byte; the determinism guard in the root test suite asserts this on
-//     both cycle cores.
+//     byte; the determinism guard in the root test suite asserts this.
 //
 // On top of the store, diff.go attributes the cycle delta between two runs
 // exactly across CPI-stack buckets and per-class utilization (the paper's

@@ -14,7 +14,7 @@ import (
 )
 
 // BenchmarkSimulatorThroughputSelfProfile is BenchmarkSimulatorThroughput
-// with the host profiler attached at the default 1/32 sampling: the
+// with the host profiler attached at the default 1/128 sampling: the
 // benchdiff gate and BENCH_history.jsonl track profiled throughput next to
 // plain throughput, so self-profiling overhead regressions show up as a
 // widening gap between the two.

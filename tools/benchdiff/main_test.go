@@ -83,7 +83,7 @@ func TestHistoryRoundTripAndTrend(t *testing.T) {
 		t.Fatal(err)
 	}
 	phases := filepath.Join(t.TempDir(), "selfprofile.json")
-	if err := os.WriteFile(phases, []byte(`{"phase_profile":{"steps":42},"opportunity":{}}`), 0o644); err != nil {
+	if err := os.WriteFile(phases, []byte(`{"phase_profile":{"steps":42}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	hist := filepath.Join(t.TempDir(), "BENCH_history.jsonl")
