@@ -1,6 +1,7 @@
 package hirata_test
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,7 +129,8 @@ func TestExampleMinCLintClean(t *testing.T) {
 	}
 }
 
-// TestStrictVerify checks the StrictVerify run gate on both machines.
+// TestStrictVerify checks the StrictVerify run gate on both machines and on
+// every multithreaded entry point.
 func TestStrictVerify(t *testing.T) {
 	bad := hirata.Program{}
 	{
@@ -150,6 +152,41 @@ func TestStrictVerify(t *testing.T) {
 	}
 	if _, err := hirata.RunMT(hirata.MTConfig{StrictVerify: true}, good.Text, hirata.NewMemory(16)); err != nil {
 		t.Errorf("RunMT(StrictVerify) rejected a clean program: %v", err)
+	}
+
+	// A program that halts but reads uninitialized registers (L001): it
+	// runs to completion without the gate, so only the gate can refuse it.
+	// Every multithreaded entry point must apply the same gate.
+	halting, err := hirata.Assemble("\tadd r3, r1, r2\n\thalt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error){
+		"RunMT": func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error) {
+			return hirata.RunMT(cfg, halting.Text, m)
+		},
+		"RunMTTraced": func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error) {
+			return hirata.RunMTTraced(cfg, halting.Text, m, io.Discard)
+		},
+		"RunMTObserved": func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error) {
+			return hirata.RunMTObserved(cfg, halting.Text, m, nil)
+		},
+		"RunMTHostProfiled": func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error) {
+			return hirata.RunMTHostProfiled(cfg, halting.Text, m, hirata.NewHostProfiler(hirata.HostProfilerOptions{}))
+		},
+		"RunMTProfiledObserved": func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error) {
+			return hirata.RunMTProfiledObserved(cfg, halting.Text, m, nil, hirata.NewHostProfiler(hirata.HostProfilerOptions{}))
+		},
+	}
+	for name, run := range entries {
+		if _, err := run(hirata.MTConfig{}, hirata.NewMemory(16)); err != nil {
+			t.Errorf("%s without StrictVerify: %v", name, err)
+		}
+		if _, err := run(hirata.MTConfig{StrictVerify: true}, hirata.NewMemory(16)); err == nil {
+			t.Errorf("%s(StrictVerify) ran a program with findings", name)
+		} else if !strings.Contains(err.Error(), "L001") {
+			t.Errorf("%s error does not carry diagnostics: %v", name, err)
+		}
 	}
 
 	if _, err := hirata.RunRISC(hirata.RISCConfig{StrictVerify: true}, bad.Text, hirata.NewMemory(16)); err == nil {
