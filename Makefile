@@ -48,9 +48,11 @@ lint-bounds:
 	$(GO) run ./cmd/hirata-lint -bound examples/programs
 	$(GO) test -run 'TestWorkloadsDeadlockClean|TestBoundExamples|TestBoundWorkloads' .
 
-# Short fuzz session against the MinC compiler (CI runs seeds only).
+# Short fuzz sessions against the MinC compiler and the trace reader (CI
+# runs seeds only).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime 30s ./internal/minc/
+	$(GO) test -run xxx -fuzz FuzzRead -fuzztime 30s ./internal/trace/
 
 fmt:
 	gofmt -w .

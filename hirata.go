@@ -488,19 +488,42 @@ func RecordTrace(text []Instruction, m *Memory) ([]TraceRecord, error) {
 func TraceStats(recs []TraceRecord) TraceMix { return trace.Stats(recs) }
 
 // ReplayTraces runs trace-driven simulation: thread i replays traces[i].
+// A slice passed for several threads is converted once, so the copies
+// reach the core as one trace.
 func ReplayTraces(cfg MTConfig, traces [][]TraceRecord) (MTResult, error) {
 	in := make([][]core.TraceInput, len(traces))
 	for i, tr := range traces {
-		in[i] = make([]core.TraceInput, len(tr))
-		for k, r := range tr {
-			in[i][k] = core.TraceInput{Ins: r.Ins, Addr: r.Addr}
+		if j := sameTrace(traces[:i], tr); j >= 0 {
+			in[i] = in[j]
+			continue
 		}
+		in[i] = traceInputs(tr)
 	}
 	p, err := core.NewTraceDriven(cfg, in)
 	if err != nil {
 		return MTResult{}, err
 	}
 	return p.Run()
+}
+
+// sameTrace returns the index of the first of traces that shares tr's
+// backing array and length, or -1.
+func sameTrace(traces [][]TraceRecord, tr []TraceRecord) int {
+	for j, o := range traces {
+		if len(o) == len(tr) && len(tr) > 0 && &o[0] == &tr[0] {
+			return j
+		}
+	}
+	return -1
+}
+
+// traceInputs converts recorded trace records for core replay.
+func traceInputs(recs []TraceRecord) []core.TraceInput {
+	out := make([]core.TraceInput, len(recs))
+	for i, r := range recs {
+		out[i] = core.TraceInput{Ins: r.Ins, Addr: r.Addr}
+	}
+	return out
 }
 
 // Workload construction (see internal/workload for details).

@@ -437,12 +437,12 @@ func (p *Processor) sourcesReady(s *slot, f *contextFrame, srcs []isa.Reg) (bool
 }
 
 // issueControl executes branches and the special thread-control
-// instructions inside the decode unit.
+// instructions inside the decode unit. Trace replay takes the outcome from
+// the opcode instead of executing: NewTraceDriven admits only NOP, HALT
+// and branches here, and the trace already resolved every branch, so the
+// stream simply continues with the next record.
 func (p *Processor) issueControl(s *slot, f *contextFrame, di *dinstr) (bool, StallReason, bool, error) {
 	in := di.ins
-	if p.traceMode {
-		return p.issueControlTrace(s, f, di)
-	}
 
 	// Priority interlocks: change-priority (explicit mode) and kill run
 	// only on the highest-priority logical processor (§2.2, §2.3.3).
@@ -463,11 +463,19 @@ func (p *Processor) issueControl(s *slot, f *contextFrame, di *dinstr) (bool, St
 		return false, r, false, nil
 	}
 
-	ctx := &p.ictx
-	*ctx = issueCtx{p: p, s: s, f: f}
-	out, err := exec.Execute(in, di.pc, ctx)
-	if err != nil {
-		return false, StallNone, false, fmt.Errorf("core: slot %d: %w", s.id, err)
+	var out exec.Outcome
+	switch {
+	case !p.traceMode:
+		ctx := &p.ictx
+		*ctx = issueCtx{p: p, s: s, f: f}
+		var err error
+		if out, err = exec.Execute(in, di.pc, ctx); err != nil {
+			return false, StallNone, false, fmt.Errorf("core: slot %d: %w", s.id, err)
+		}
+	case in.Op == isa.HALT:
+		out.Effect = exec.EffectHalt
+	case in.Op.IsBranch():
+		out = exec.Outcome{Effect: exec.EffectBranch, Taken: true, Target: di.pc + 1}
 	}
 	if di.fromARB {
 		f.arb.Complete(di.arbSeq)
@@ -538,39 +546,6 @@ func (p *Processor) issueControl(s *slot, f *contextFrame, di *dinstr) (bool, St
 		return true, StallNone, false, nil
 	}
 	return false, StallNone, false, fmt.Errorf("core: unhandled effect %d for %s", out.Effect, in.Op)
-}
-
-// issueControlTrace replays branches, NOP and HALT from a trace record:
-// timing interlocks are identical to execution-driven mode, but control
-// flow simply continues with the next trace entry.
-func (p *Processor) issueControlTrace(s *slot, f *contextFrame, di *dinstr) (bool, StallReason, bool, error) {
-	in := di.ins
-	if ok, r, _ := p.sourcesReady(s, f, di.pre.srcList()); !ok {
-		return false, r, false, nil
-	}
-	p.noteIssued(s, di)
-	switch {
-	case in.Op == isa.NOP:
-		return true, StallNone, false, nil
-	case in.Op == isa.HALT:
-		p.setFrameState(f, frameDone)
-		s.flushPipeline()
-		if p.observer != nil {
-			p.observer.ThreadEnd(p.cycle, s.id, f.id, false)
-		}
-		p.setSlotState(s, slotIdle)
-		s.frame = -1
-		p.touch(p.cycle)
-		return true, StallNone, true, nil
-	case in.Op.IsBranch():
-		p.stats.Slots[s.id].Branches++
-		if d := in.Dest(); d.Valid() { // jal link register
-			f.setReady(d, p.cycle+1)
-		}
-		p.redirect(s, di.pc+1) // the trace already resolved the target
-		return true, StallNone, true, nil
-	}
-	return false, StallNone, false, fmt.Errorf("core: trace replay cannot execute %s", in.Op)
 }
 
 // redirect restarts the slot's instruction stream at pc after a branch.

@@ -79,9 +79,10 @@ func (p *Processor) deliver(fu *fetchUnit) {
 	f := p.frames[s.frame]
 	minD1 := p.cycle + 1
 	if p.traceMode && f.traceID >= 0 {
-		recs, pre := p.traces[f.traceID], p.tracePre[f.traceID]
+		recs, idx := p.traces[f.traceID], p.traceIdx[f.traceID]
 		for pc := fu.pc0; pc < fu.pc1; pc++ {
-			s.buf.push(bufEntry{d: dinstr{pc: pc, ins: recs[pc].Ins, pre: &pre[pc], addr: recs[pc].Addr}, minD1: minD1})
+			k := idx[pc]
+			s.buf.push(bufEntry{d: dinstr{pc: pc, ins: p.prog[k], pre: &p.pre[k], addr: recs[pc].Addr}, minD1: minD1})
 		}
 	} else {
 		n := int(fu.pc1 - fu.pc0)

@@ -6,8 +6,9 @@ import "hirata/internal/isa"
 // time. The decode path inspects every D2 window entry every cycle; without
 // predecoding it would re-derive operand lists and opcode properties from
 // the instruction word each time (the dominant cost in issueFromSlot and
-// tryIssue). One insMeta exists per program (or trace) position and is
-// shared by reference through bufEntry, dinstr and inflight.
+// tryIssue). One insMeta exists per program position (per distinct
+// instruction in trace mode, see internTraces) and is shared by reference
+// through bufEntry, dinstr and inflight.
 type insMeta struct {
 	srcs      [2]isa.Reg // source registers (nsrc valid entries)
 	nsrc      uint8
@@ -48,22 +49,4 @@ func predecode(prog []isa.Instruction) []insMeta {
 		out[i] = buildMeta(in)
 	}
 	return out
-}
-
-// predecodeTrace builds the metadata table for a recorded trace.
-func predecodeTrace(tr []TraceInput) []insMeta {
-	out := make([]insMeta, len(tr))
-	for i, rec := range tr {
-		out[i] = buildMeta(rec.Ins)
-	}
-	return out
-}
-
-// streamMeta returns the predecoded metadata for one position of a frame's
-// instruction stream (program text, or the frame's trace in trace mode).
-func (p *Processor) streamMeta(f *contextFrame, pc int64) *insMeta {
-	if p.traceMode && f.traceID >= 0 {
-		return &p.tracePre[f.traceID][pc]
-	}
-	return &p.pre[pc]
 }

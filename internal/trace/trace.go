@@ -146,7 +146,11 @@ func Read(r io.Reader) ([]Record, error) {
 	if count > maxRecords {
 		return nil, fmt.Errorf("trace: implausible record count %d", count)
 	}
-	recs := make([]Record, 0, count)
+	// The count is untrusted until the records arrive: preallocate at most
+	// maxPrealloc and let append grow, so a short file claiming a huge
+	// count fails at its first missing record instead of exhausting memory.
+	const maxPrealloc = 1 << 16
+	recs := make([]Record, 0, min(count, maxPrealloc))
 	prevPC := int64(0)
 	var word [4]byte
 	for i := uint64(0); i < count; i++ {

@@ -28,8 +28,8 @@ type MultiprogramCell struct {
 func RunMultiprogram(slots []int) ([]MultiprogramCell, error) {
 	type job struct {
 		name   string
-		recs   []trace.Record
-		cycles uint64 // baseline RISC cycles
+		inputs []core.TraceInput // converted once, shared by every slot replaying it
+		cycles uint64            // baseline RISC cycles
 	}
 
 	// Phase 1: each job records its trace and runs its RISC baseline in an
@@ -82,7 +82,7 @@ func RunMultiprogram(slots []int) ([]MultiprogramCell, error) {
 		if err != nil {
 			return job{}, err
 		}
-		return job{sp.name, recs, res.Cycles}, nil
+		return job{sp.name, traceInputs(recs), res.Cycles}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -93,15 +93,10 @@ func RunMultiprogram(slots []int) ([]MultiprogramCell, error) {
 		s := slots[si]
 		traces := make([][]core.TraceInput, s)
 		var serial uint64
-		var instr uint64
 		for i := 0; i < s; i++ {
 			j := jobs[i%len(jobs)]
-			traces[i] = make([]core.TraceInput, len(j.recs))
-			for k, r := range j.recs {
-				traces[i][k] = core.TraceInput{Ins: r.Ins, Addr: r.Addr}
-			}
+			traces[i] = j.inputs
 			serial += j.cycles
-			instr += uint64(len(j.recs))
 		}
 		p, err := core.NewTraceDriven(core.Config{
 			ThreadSlots:     s,
