@@ -59,7 +59,7 @@ func TestFacadeTracedRun(t *testing.T) {
 	}
 	var buf strings.Builder
 	m := NewMemory(16)
-	if _, err := RunMTTraced(MTConfig{ThreadSlots: 1, StandbyStations: true}, prog.Text, m, &buf); err != nil {
+	if _, err := Run(MTConfig{ThreadSlots: 1, StandbyStations: true}, prog.Text, m, RunOptions{Observers: []Observer{&TextTracer{W: &buf}}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"issue", "select", "bind"} {
@@ -92,7 +92,7 @@ func TestFacadeTraceRecordReplay(t *testing.T) {
 		t.Errorf("mix loads/stores = %d/%d, want 5/1", mix.Loads, mix.Stores)
 	}
 	res, err := ReplayTraces(MTConfig{ThreadSlots: 2, StandbyStations: true},
-		[][]TraceRecord{recs, recs})
+		[][]TraceRecord{recs, recs}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 					ThreadSlots:     slots,
 					LoadStoreUnits:  2,
 					StandbyStations: true,
-				}, traces)
+				}, traces, RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

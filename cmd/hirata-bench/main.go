@@ -338,7 +338,7 @@ func recordRepresentative(rt hirata.RayTraceConfig, out representativeOutputs) (
 		shutdown = stop
 		fmt.Fprintf(os.Stderr, "hirata-bench: serving observability at http://%s\n", bound)
 	}
-	res, err := hirata.RunMTObserved(cfg, w.Par.Text, m, []hirata.Observer{col})
+	res, err := hirata.Run(cfg, w.Par.Text, m, hirata.RunOptions{Observers: []hirata.Observer{col}})
 	if err != nil {
 		return shutdown, err
 	}

@@ -40,7 +40,7 @@ func runSelfProfile(w io.Writer, rt hirata.RayTraceConfig, out selfProfileOutput
 	}
 
 	var shutdown func() error
-	var res hirata.MTResult
+	opt := hirata.RunOptions{Host: prof}
 	if out.httpAddr != "" {
 		col := hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: 256})
 		bound, stop, serr := hirata.ServeObservabilityWithHost(out.httpAddr, col, wl.Par,
@@ -50,10 +50,9 @@ func runSelfProfile(w io.Writer, rt hirata.RayTraceConfig, out selfProfileOutput
 		}
 		shutdown = stop
 		fmt.Fprintf(os.Stderr, "hirata-bench: serving /metrics and /hostmetrics at http://%s\n", bound)
-		res, err = hirata.RunMTProfiledObserved(cfg, wl.Par.Text, m, []hirata.Observer{col}, prof)
-	} else {
-		res, err = hirata.RunMTHostProfiled(cfg, wl.Par.Text, m, prof)
+		opt.Observers = []hirata.Observer{col}
 	}
+	res, err := hirata.Run(cfg, wl.Par.Text, m, opt)
 	if err != nil {
 		return err
 	}

@@ -85,8 +85,8 @@ commands:
 run "hirata-report <command> -h" for command flags.`)
 }
 
-// cmdRecord simulates one run and appends its record. Unlike the RunMT*
-// recording hook (which only sees what the run mode provides), record
+// cmdRecord simulates one run and appends its record. Unlike the facade's
+// recording hook (which only sees what the run options provide), record
 // always runs observed and attaches both optional sections — the exact
 // CPI stack and the static-bound certificate — before hashing, so the
 // resulting record diffs at full precision.
@@ -111,6 +111,9 @@ func cmdRecord(args []string) error {
 	}
 	if *ledgerPath == "" {
 		return fmt.Errorf("record: -ledger is required")
+	}
+	if *threads < 0 {
+		return fmt.Errorf("record: -threads must not be negative, got %d", *threads)
 	}
 	cfg := hirata.MTConfig{
 		ThreadSlots:      *slots,
@@ -169,7 +172,7 @@ func cmdRecord(args []string) error {
 	// Digest the inputs before the run mutates the memory image.
 	pend := runledger.Begin(cfg, text, m, pcs)
 	col := hirata.NewCollector(cfg, hirata.CollectorOptions{})
-	res, err := hirata.RunMTObserved(cfg, text, m, []hirata.Observer{col}, pcs...)
+	res, err := hirata.Run(cfg, text, m, hirata.RunOptions{Observers: []hirata.Observer{col}}, pcs...)
 	if err != nil {
 		return err
 	}

@@ -82,6 +82,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *threads < 0 {
+		fail(fmt.Errorf("-threads must not be negative, got %d", *threads))
+	}
 
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -165,15 +168,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hirata-sim: serving observability at http://%s\n", bound)
 		}
 
-		var res hirata.MTResult
-		switch {
-		case len(observers) > 0:
-			res, err = hirata.RunMTProfiledObserved(cfg, prog.Text, m, observers, prof, pcs...)
-		case prof != nil:
-			res, err = hirata.RunMTHostProfiled(cfg, prog.Text, m, prof, pcs...)
-		default:
-			res, err = hirata.RunMT(cfg, prog.Text, m, pcs...)
-		}
+		res, err := hirata.Run(cfg, prog.Text, m, hirata.RunOptions{Observers: observers, Host: prof}, pcs...)
 		if err != nil {
 			fail(err)
 		}

@@ -21,8 +21,6 @@ import (
 	"os"
 
 	"hirata"
-	"hirata/internal/core"
-	"hirata/internal/obs"
 	"hirata/internal/trace"
 )
 
@@ -75,36 +73,31 @@ func main() {
 		fmt.Print(trace.Stats(recs).String())
 
 	case *replay != "":
+		if *slots < 0 {
+			check(fmt.Errorf("-slots must not be negative, got %d", *slots))
+		}
 		recs := load(*replay)
 		n := *copies
 		if n <= 0 {
 			n = *slots
 		}
-		in := make([]core.TraceInput, len(recs))
-		for i, r := range recs {
-			in[i] = core.TraceInput{Ins: r.Ins, Addr: r.Addr}
-		}
-		traces := make([][]core.TraceInput, n)
+		traces := make([][]hirata.TraceRecord, n)
 		for i := range traces {
-			traces[i] = in
+			traces[i] = recs
 		}
-		cfg := core.Config{
+		cfg := hirata.MTConfig{
 			ThreadSlots:     *slots,
 			LoadStoreUnits:  *ls,
 			StandbyStations: *standby,
 		}
-		p, err := core.NewTraceDriven(cfg, traces)
-		check(err)
-		var col *obs.Collector
+		var opt hirata.RunOptions
+		var col *hirata.Collector
 		if *chromeTrace != "" || *metricsEvery > 0 || *cpiStack || *critPathOut || *whatIf != "" {
-			col = obs.NewCollector(cfg, obs.Options{MetricsInterval: *metricsEvery})
-			p.Observe(col)
+			col = hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: *metricsEvery})
+			opt.Observers = []hirata.Observer{col}
 		}
-		res, err := p.Run()
+		res, err := hirata.ReplayTraces(cfg, traces, opt)
 		check(err)
-		if col != nil {
-			col.Finalize(res)
-		}
 		fmt.Printf("replayed %d x %d instructions on %d slots\n", n, len(recs), *slots)
 		fmt.Print(res.String())
 		if *chromeTrace != "" {
@@ -132,7 +125,7 @@ func main() {
 			ests, err := col.WhatIfAll(*whatIf)
 			check(err)
 			fmt.Println()
-			fmt.Print(obs.FormatEstimates(ests))
+			fmt.Print(hirata.FormatWhatIfEstimates(ests))
 		}
 
 	default:

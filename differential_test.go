@@ -141,7 +141,7 @@ func TestCycleSkipDifferentialTraceReplay(t *testing.T) {
 			LoadStoreUnits:   2,
 			StandbyStations:  true,
 			DisableCycleSkip: disable,
-		}, traces)
+		}, traces, RunOptions{})
 		if err != nil {
 			t.Fatalf("DisableCycleSkip=%v: %v", disable, err)
 		}

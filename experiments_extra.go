@@ -270,6 +270,9 @@ func RunConcurrentMT(threads int, frames []int, remoteLatency int) ([]Concurrent
 	if err != nil {
 		return nil, err
 	}
+	if threads < 1 {
+		return nil, fmt.Errorf("hirata: concurrent MT needs at least one thread (got %d)", threads)
+	}
 	for _, nf := range frames {
 		if nf < threads {
 			return nil, fmt.Errorf("hirata: concurrent MT needs at least one context frame per thread (%d < %d)", nf, threads)
@@ -280,23 +283,14 @@ func RunConcurrentMT(threads int, frames []int, remoteLatency int) ([]Concurrent
 		for i := int64(4096); i < 8192; i++ {
 			m.SetInt(i, i%97)
 		}
-		p, err := core.New(core.Config{
+		res, err := RunMT(core.Config{
 			ThreadSlots:     1,
 			ContextFrames:   nf,
 			StandbyStations: true,
 			// Explicit-rotation mode suppresses data-absence context
 			// switches (§2.3.1), giving the stall-through baseline.
 			ExplicitRotation: suppress,
-		}, prog.Text, m)
-		if err != nil {
-			return ConcurrentMTCell{}, err
-		}
-		for i := 0; i < threads; i++ {
-			if err := p.StartThread(0); err != nil {
-				return ConcurrentMTCell{}, err
-			}
-		}
-		res, err := p.Run()
+		}, prog.Text, m, make([]int64, threads)...)
 		if err != nil {
 			return ConcurrentMTCell{}, fmt.Errorf("concurrent MT (%d frames, suppress=%v): %w", nf, suppress, err)
 		}

@@ -46,6 +46,7 @@ import (
 	"hirata/internal/minc"
 	"hirata/internal/obs"
 	"hirata/internal/risc"
+	"hirata/internal/runledger"
 	"hirata/internal/sched"
 	"hirata/internal/sweep"
 	"hirata/internal/trace"
@@ -163,16 +164,6 @@ func lintConfigForRun(cfg MTConfig, m *Memory, startPCs []int64) LintConfig {
 	return lc
 }
 
-// strictGate is the StrictVerify gate every RunMT* entry point applies
-// before simulating: with cfg.StrictVerify set, a program the verifier has
-// findings for is refused.
-func strictGate(cfg MTConfig, text []Instruction, m *Memory, startPCs []int64) error {
-	if !cfg.StrictVerify {
-		return nil
-	}
-	return strictVerify(text, lintConfigForRun(cfg, m, startPCs))
-}
-
 // strictVerify runs the verifier over text and returns an error carrying
 // every finding, for the StrictVerify run modes.
 func strictVerify(text []Instruction, cfg LintConfig) error {
@@ -203,46 +194,72 @@ func NewMemoryWithRemote(words int, remoteBase int64, latency int) *Memory {
 	return mem.NewMemoryWithRemote(words, remoteBase, latency)
 }
 
-// RunMT simulates a program on the multithreaded processor. Threads start
-// at the given program counters (default: one thread at 0). When a run
-// ledger is attached (SetRunLedger), the completed run is recorded.
-func RunMT(cfg MTConfig, text []Instruction, m *Memory, startPCs ...int64) (MTResult, error) {
-	if err := strictGate(cfg, text, m, startPCs); err != nil {
-		return MTResult{}, err
-	}
-	pend, led, tag := recordBegin(cfg, text, m, startPCs)
-	p, err := core.New(cfg, text, m)
-	if err != nil {
-		return MTResult{}, err
-	}
-	for _, pc := range startPCs {
-		if err := p.StartThread(pc); err != nil {
-			return MTResult{}, err
-		}
-	}
-	res, err := p.Run()
-	recordCommit(led, pend, tag, res, err, nil)
-	return res, err
+// RunOptions attaches instrumentation to a run. The zero value runs the
+// bare machine.
+type RunOptions struct {
+	// Observers receive the pipeline event stream: a *Collector, a
+	// *TextTracer, or any custom Observer. Every *Collector among them is
+	// finalized against the run's Result before the run returns.
+	Observers []Observer
+	// Host, when non-nil, samples the cycle loop's wall time per phase.
+	// Unlike pipeline observers it leaves quiescent-cycle skipping armed,
+	// so a run with only Host set produces the unprofiled Result. With
+	// Observers attached too, it times the cycle-by-cycle stepping they
+	// force, including quiescent cycles a bare run would jump over.
+	Host *HostProfiler
 }
 
-// RunMTTraced is RunMT with a cycle-by-cycle pipeline event trace written
-// to w (issues, schedule-unit selections, redirects, binds, traps,
-// priority rotations, thread ends).
-func RunMTTraced(cfg MTConfig, text []Instruction, m *Memory, w io.Writer, startPCs ...int64) (MTResult, error) {
-	if err := strictGate(cfg, text, m, startPCs); err != nil {
-		return MTResult{}, err
+// Run simulates a program on the multithreaded processor with opt
+// attached. Threads start at the given program counters (default: one
+// thread at 0). With cfg.StrictVerify set, a program the verifier has
+// findings for is refused. When a run ledger is attached (SetRunLedger),
+// the completed run is recorded, with the first Collector's exact CPI
+// stack and the host profiler's digest when opt provides them.
+func Run(cfg MTConfig, text []Instruction, m *Memory, opt RunOptions, startPCs ...int64) (MTResult, error) {
+	if cfg.StrictVerify {
+		if err := strictVerify(text, lintConfigForRun(cfg, m, startPCs)); err != nil {
+			return MTResult{}, err
+		}
 	}
+	rec := recordBegin(func() *runledger.Pending { return runledger.Begin(cfg, text, m, startPCs) })
 	p, err := core.New(cfg, text, m)
 	if err != nil {
 		return MTResult{}, err
 	}
-	p.Observe(&core.TextTracer{W: w})
 	for _, pc := range startPCs {
 		if err := p.StartThread(pc); err != nil {
 			return MTResult{}, err
 		}
 	}
-	return p.Run()
+	return run(p, opt, rec)
+}
+
+// RunMT is Run without options.
+func RunMT(cfg MTConfig, text []Instruction, m *Memory, startPCs ...int64) (MTResult, error) {
+	return Run(cfg, text, m, RunOptions{}, startPCs...)
+}
+
+// run is the tail of every simulation: it attaches opt to the built
+// processor, runs it, finalizes every Collector against the Result and
+// commits the ledger record.
+func run(p *core.Processor, opt RunOptions, rec recording) (MTResult, error) {
+	for _, o := range opt.Observers {
+		p.Observe(o)
+	}
+	if opt.Host != nil {
+		p.SetHostProbe(opt.Host)
+	}
+	res, err := p.Run()
+	if err != nil {
+		return res, err
+	}
+	for _, o := range opt.Observers {
+		if c, ok := o.(*Collector); ok {
+			c.Finalize(res)
+		}
+	}
+	rec.commit(res, opt)
+	return res, nil
 }
 
 // Observability (see internal/obs and docs/OBSERVABILITY.md).
@@ -295,45 +312,12 @@ func ServeObservability(addr string, c *Collector, prog *Program) (string, func(
 	return obs.Serve(addr, c, prog)
 }
 
-// RunMTObserved is RunMT with one or more observers attached to the
-// pipeline event stream (a *Collector, a *core.TextTracer, or any custom
-// Observer). Collectors passed here are finalized against the run result
-// before returning.
-func RunMTObserved(cfg MTConfig, text []Instruction, m *Memory, observers []Observer, startPCs ...int64) (MTResult, error) {
-	if err := strictGate(cfg, text, m, startPCs); err != nil {
-		return MTResult{}, err
-	}
-	pend, led, tag := recordBegin(cfg, text, m, startPCs)
-	p, err := core.New(cfg, text, m)
-	if err != nil {
-		return MTResult{}, err
-	}
-	for _, o := range observers {
-		p.Observe(o)
-	}
-	for _, pc := range startPCs {
-		if err := p.StartThread(pc); err != nil {
-			return MTResult{}, err
-		}
-	}
-	res, err := p.Run()
-	if err == nil {
-		for _, o := range observers {
-			if c, ok := o.(*Collector); ok {
-				c.Finalize(res)
-			}
-		}
-	}
-	recordCommit(led, pend, tag, res, err, exactCPIDecorator(observers))
-	return res, err
-}
-
 // Host-level self-observability (see internal/hostobs and the "Host-level
 // observability" section of docs/OBSERVABILITY.md): the simulator watching
 // its own execution rather than the simulated machine's.
 type (
 	// HostProfiler samples the cycle loop's wall time per phase and counts
-	// quiescent-cycle skips; attach with RunMTHostProfiled.
+	// quiescent-cycle skips; attach with RunOptions.Host.
 	HostProfiler = hostobs.Profiler
 	// HostProfilerOptions configure sampling rate and trace retention.
 	HostProfilerOptions = hostobs.Options
@@ -356,68 +340,6 @@ func NewHostProfiler(opt HostProfilerOptions) *HostProfiler { return hostobs.New
 
 // NewSweepRecorder builds a sweep telemetry recorder for SetSweepTelemetry.
 func NewSweepRecorder() *SweepRecorder { return hostobs.NewSweepRecorder() }
-
-// RunMTHostProfiled is RunMT with a host profiler attached. Unlike pipeline
-// observers, the profiler leaves quiescent-cycle skipping armed (it records
-// the jumps instead), so a profiled run produces an identical MTResult.
-func RunMTHostProfiled(cfg MTConfig, text []Instruction, m *Memory, prof *HostProfiler, startPCs ...int64) (MTResult, error) {
-	if err := strictGate(cfg, text, m, startPCs); err != nil {
-		return MTResult{}, err
-	}
-	pend, led, tag := recordBegin(cfg, text, m, startPCs)
-	p, err := core.New(cfg, text, m)
-	if err != nil {
-		return MTResult{}, err
-	}
-	if prof != nil {
-		p.SetHostProbe(prof)
-	}
-	for _, pc := range startPCs {
-		if err := p.StartThread(pc); err != nil {
-			return MTResult{}, err
-		}
-	}
-	res, err := p.Run()
-	recordCommit(led, pend, tag, res, err, hostDigestDecorator(prof))
-	return res, err
-}
-
-// RunMTProfiledObserved attaches pipeline observers and a host profiler to
-// the same run. Note that pipeline observers disable quiescent-cycle
-// skipping, so the host profile of such a run shows the cycle loop scanning
-// quiescent cycles the unobserved simulator would have jumped over.
-func RunMTProfiledObserved(cfg MTConfig, text []Instruction, m *Memory, observers []Observer, prof *HostProfiler, startPCs ...int64) (MTResult, error) {
-	if err := strictGate(cfg, text, m, startPCs); err != nil {
-		return MTResult{}, err
-	}
-	pend, led, tag := recordBegin(cfg, text, m, startPCs)
-	p, err := core.New(cfg, text, m)
-	if err != nil {
-		return MTResult{}, err
-	}
-	for _, o := range observers {
-		p.Observe(o)
-	}
-	if prof != nil {
-		p.SetHostProbe(prof)
-	}
-	for _, pc := range startPCs {
-		if err := p.StartThread(pc); err != nil {
-			return MTResult{}, err
-		}
-	}
-	res, err := p.Run()
-	if err == nil {
-		for _, o := range observers {
-			if c, ok := o.(*Collector); ok {
-				c.Finalize(res)
-			}
-		}
-	}
-	recordCommit(led, pend, tag, res, err,
-		chainDecorators(exactCPIDecorator(observers), hostDigestDecorator(prof)))
-	return res, err
-}
 
 // WriteHostTrace writes the host-side Chrome Trace Event JSON (cycle-loop
 // phase slices plus sweep-worker timelines; load in ui.perfetto.dev).
@@ -487,10 +409,12 @@ func RecordTrace(text []Instruction, m *Memory) ([]TraceRecord, error) {
 // TraceStats computes the dynamic instruction mix of a trace.
 func TraceStats(recs []TraceRecord) TraceMix { return trace.Stats(recs) }
 
-// ReplayTraces runs trace-driven simulation: thread i replays traces[i].
-// A slice passed for several threads is converted once, so the copies
-// reach the core as one trace.
-func ReplayTraces(cfg MTConfig, traces [][]TraceRecord) (MTResult, error) {
+// ReplayTraces runs trace-driven simulation with opt attached: thread i
+// replays traces[i]. A slice passed for several threads is converted once,
+// so the copies reach the core as one trace. A replay has no program to
+// verify, so StrictVerify does not apply; an attached ledger records it
+// like a program run, keyed on the traces.
+func ReplayTraces(cfg MTConfig, traces [][]TraceRecord, opt RunOptions) (MTResult, error) {
 	in := make([][]core.TraceInput, len(traces))
 	for i, tr := range traces {
 		if j := sameTrace(traces[:i], tr); j >= 0 {
@@ -499,11 +423,12 @@ func ReplayTraces(cfg MTConfig, traces [][]TraceRecord) (MTResult, error) {
 		}
 		in[i] = traceInputs(tr)
 	}
+	rec := recordBegin(func() *runledger.Pending { return runledger.BeginTraces(cfg, in) })
 	p, err := core.NewTraceDriven(cfg, in)
 	if err != nil {
 		return MTResult{}, err
 	}
-	return p.Run()
+	return run(p, opt, rec)
 }
 
 // sameTrace returns the index of the first of traces that shares tr's

@@ -236,6 +236,41 @@ func TestRunKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestTraceRunKeySensitivity: a trace replay's run key moves with every
+// record's instruction and address, the number of threads and the config,
+// ignores the result-neutral knobs, and does not depend on whether copies
+// share one slice. It never equals a program run's key.
+func TestTraceRunKeySensitivity(t *testing.T) {
+	trace := func(addr int64) []core.TraceInput {
+		return []core.TraceInput{{Ins: isa.Nop()}, {Ins: isa.Nop(), Addr: addr}}
+	}
+	cfg := core.Config{ThreadSlots: 2}
+	shared := trace(0)
+	p := BeginTraces(cfg, [][]core.TraceInput{shared, shared})
+	key := p.Key()
+	if got := BeginTraces(cfg, [][]core.TraceInput{trace(0), trace(0)}).Key(); got != key {
+		t.Error("shared and separately allocated copies keyed differently")
+	}
+	if p.program.Encoding != "trace-v1" || p.program.Words != 4 {
+		t.Errorf("program ref = %+v, want trace-v1 over 4 records", p.program)
+	}
+	for name, other := range map[string]*Pending{
+		"address":     BeginTraces(cfg, [][]core.TraceInput{shared, trace(1)}),
+		"instruction": BeginTraces(cfg, [][]core.TraceInput{shared, {{Ins: isa.Nop()}, {Ins: isa.Instruction{Op: isa.HALT}}}}),
+		"threads":     BeginTraces(cfg, [][]core.TraceInput{shared}),
+		"config":      BeginTraces(core.Config{ThreadSlots: 4}, [][]core.TraceInput{shared, shared}),
+		"program run": Begin(cfg, []isa.Instruction{isa.Nop(), isa.Nop()}, nil, nil),
+	} {
+		if other.Key() == key {
+			t.Errorf("%s change did not move the run key", name)
+		}
+	}
+	neutral := core.Config{ThreadSlots: 2, DisableCycleSkip: true, StrictVerify: true, MaxCycles: 999}
+	if BeginTraces(neutral, [][]core.TraceInput{shared, shared}).Key() != key {
+		t.Error("result-neutral knobs moved the run key")
+	}
+}
+
 // TestDerivedStackSumsToCycles: every slot row of the stall-derived stack
 // must sum exactly to the run's cycle count — the property diff exactness
 // rests on.

@@ -4,13 +4,15 @@
 // Every record is keyed twice:
 //
 //   - the run key identifies the *inputs*: hash(program bytes, initial
-//     memory image, start PCs, canonical machine configuration). The
-//     simulator is deterministic — the differential suites prove quiescent
-//     skipping and observed runs produce bit-identical Results, and the
-//     legacy-core golden (testdata/legacy_core.golden.json at the
-//     repository root) pins Results across the retired second cycle core —
-//     so the run key is a correct cache key: equal keys imply equal
-//     outputs. ROADMAP item 1's result cache keys on exactly this.
+//     memory image, start PCs, canonical machine configuration), or for a
+//     trace replay hash(each thread's trace records, canonical machine
+//     configuration). The simulator is deterministic — the differential
+//     suites prove quiescent skipping and observed runs produce
+//     bit-identical Results, and the legacy-core golden
+//     (testdata/legacy_core.golden.json at the repository root) pins
+//     Results across the retired second cycle core — so the run key is a
+//     correct cache key: equal keys imply equal outputs. ROADMAP item 1's
+//     result cache keys on exactly this.
 //   - the content hash identifies the *record*: hash of the canonical
 //     serialized payload (inputs + result metrics + cycle stack + optional
 //     exact CPI stack, static bounds and host-profile digest). Re-recording
@@ -26,6 +28,7 @@ package runledger
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -229,9 +232,7 @@ func Begin(cfg core.Config, text []isa.Instruction, m *mem.Memory, startPCs []in
 		p.workload.MemDigest = hex.EncodeToString(h.Sum(nil))
 	}
 
-	canon := cfg.CanonicalConfig()
-	p.config.Digest = digestBytes([]byte(canon))
-	p.config.Lines = cfg.CanonicalLines()
+	canon := p.setConfig(cfg)
 
 	var b strings.Builder
 	b.WriteString(keyFormat)
@@ -253,6 +254,51 @@ func Begin(cfg core.Config, text []isa.Instruction, m *mem.Memory, startPCs []in
 	b.WriteString(canon)
 	p.key = digestBytes([]byte(b.String()))
 	return p
+}
+
+// BeginTraces digests the inputs of a trace-driven run about to start: each
+// thread's (instruction, address) records and the canonical configuration.
+// A replay has no program text, memory image or start PCs, so its key
+// covers none of them and ProgramRef names the trace form instead.
+func BeginTraces(cfg core.Config, traces [][]core.TraceInput) *Pending {
+	p := &Pending{}
+	p.program.Encoding = "trace-v1"
+	digests := make([]string, len(traces))
+	for i, tr := range traces {
+		p.program.Words += len(tr)
+		digests[i] = traceDigest(tr)
+	}
+	all := strings.Join(digests, ",")
+	p.program.Digest = digestBytes([]byte(all))
+	canon := p.setConfig(cfg)
+	p.key = digestBytes([]byte(keyFormat + "\ntraces=" + all + "\nconfig:\n" + canon))
+	return p
+}
+
+// traceDigest hashes one thread's replay records: each instruction's binary
+// encoding (its printed Go value when unencodable) and its address.
+func traceDigest(tr []core.TraceInput) string {
+	h := sha256.New()
+	var buf [12]byte
+	for _, r := range tr {
+		w, err := isa.Encode(r.Ins)
+		if err != nil {
+			fmt.Fprintf(h, "%#v", r.Ins)
+		}
+		binary.BigEndian.PutUint32(buf[:4], uint32(w))
+		binary.BigEndian.PutUint64(buf[4:], uint64(r.Addr))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// setConfig records the canonical configuration and returns its encoding
+// for the run key.
+func (p *Pending) setConfig(cfg core.Config) string {
+	canon := cfg.CanonicalConfig()
+	p.config.Digest = digestBytes([]byte(canon))
+	p.config.Lines = cfg.CanonicalLines()
+	return canon
 }
 
 // normalizePCs resolves the runner's "no PCs means one thread at 0"

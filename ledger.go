@@ -2,12 +2,13 @@ package hirata
 
 // Cross-run observability: the facade glue between the simulation runners
 // and internal/runledger. A process attaches one ledger with SetRunLedger;
-// from then on every completed RunMT* simulation — a hirata-sim run, each
-// hirata-bench experiment cell, every sweep worker, every -explore
-// re-simulation — is recorded as a content-addressed RunRecord. The hook
-// digests the run's inputs *before* the simulation starts (the run mutates
-// the memory image) and commits only successful runs, so aborted or
-// erroring simulations never pollute the ledger.
+// from then on every completed Run, RunMT or ReplayTraces simulation — a
+// hirata-sim run, each hirata-bench experiment cell, every sweep worker,
+// every -explore re-simulation — is recorded as a content-addressed
+// RunRecord. The hook digests the run's inputs *before* the simulation
+// starts (a program run mutates the memory image) and commits only
+// successful runs, so aborted or erroring simulations never pollute the
+// ledger.
 
 import (
 	"sync"
@@ -55,8 +56,8 @@ var recorder struct {
 	err error // last append failure, if any
 }
 
-// SetRunLedger attaches a ledger to every subsequent RunMT* simulation in
-// this process; records carry tag as their lineage label. A nil ledger
+// SetRunLedger attaches a ledger to every subsequent simulation in this
+// process; records carry tag as their lineage label. A nil ledger
 // detaches. Recording is deliberately out-of-band: a ledger failure never
 // fails the simulation (check RunLedgerError at exit).
 func SetRunLedger(l *RunLedger, tag string) {
@@ -73,30 +74,48 @@ func RunLedgerError() error {
 	return recorder.err
 }
 
-// recordBegin snapshots the attached ledger and digests the run inputs.
-// Must run before the simulation: the run mutates m.
-func recordBegin(cfg MTConfig, text []Instruction, m *Memory, startPCs []int64) (*runledger.Pending, *runledger.Ledger, string) {
-	recorder.mu.Lock()
-	led, tag := recorder.led, recorder.tag
-	recorder.mu.Unlock()
-	if led == nil {
-		return nil, nil, ""
-	}
-	return runledger.Begin(cfg, text, m, startPCs), led, tag
+// recording is a run's pending ledger record: the ledger and tag attached
+// when the run began, and its digested inputs. Without a ledger it records
+// nothing.
+type recording struct {
+	led  *runledger.Ledger
+	tag  string
+	pend *runledger.Pending
 }
 
-// recordCommit appends the completed run's record. decorate, when non-nil,
-// attaches the mode's optional sections (exact CPI, host-profile digest)
-// before hashing.
-func recordCommit(led *runledger.Ledger, pend *runledger.Pending, tag string, res MTResult, runErr error, decorate func(*RunRecord)) {
-	if led == nil || runErr != nil {
+// recordBegin snapshots the attached ledger and, when one is attached,
+// digests the run inputs with begin. It must run before the simulation: a
+// program run mutates its memory image.
+func recordBegin(begin func() *runledger.Pending) recording {
+	recorder.mu.Lock()
+	r := recording{led: recorder.led, tag: recorder.tag}
+	recorder.mu.Unlock()
+	if r.led != nil {
+		r.pend = begin()
+	}
+	return r
+}
+
+// commit appends the completed run's record with the optional sections
+// opt provides, before hashing: the first Collector's exact CPI stack and
+// the host profiler's artifact digest.
+func (r recording) commit(res MTResult, opt RunOptions) {
+	if r.led == nil {
 		return
 	}
-	rec := pend.Finish(res, tag)
-	if decorate != nil {
-		decorate(rec)
+	rec := r.pend.Finish(res, r.tag)
+	for _, o := range opt.Observers {
+		if c, ok := o.(*Collector); ok {
+			AttachExactCPI(rec, c)
+			break
+		}
 	}
-	if _, _, err := led.Append(rec); err != nil {
+	if opt.Host != nil {
+		if d, err := opt.Host.ProfileDigest(); err == nil {
+			rec.HostProfileDigest = d
+		}
+	}
+	if _, _, err := r.led.Append(rec); err != nil {
 		recorder.mu.Lock()
 		recorder.err = err
 		recorder.mu.Unlock()
@@ -137,48 +156,6 @@ func AttachExactCPI(rec *RunRecord, c *Collector) {
 func AttachStaticBounds(rec *RunRecord, cfg MTConfig, text []Instruction, startPCs ...int64) {
 	b := StaticBounds(cfg, text, startPCs...)
 	rec.SetBounds(int64(b.DepBound), int64(b.ResourceBound), int64(b.IssueBound), int64(b.Bound), b.Unbounded)
-}
-
-// exactCPIDecorator returns a decorator attaching the first collector's
-// exact CPI stack, for the observed run modes.
-func exactCPIDecorator(observers []Observer) func(*RunRecord) {
-	for _, o := range observers {
-		if c, ok := o.(*Collector); ok {
-			return func(rec *RunRecord) { AttachExactCPI(rec, c) }
-		}
-	}
-	return nil
-}
-
-// hostDigestDecorator returns a decorator attaching the host profiler's
-// artifact digest, for the host-profiled run modes.
-func hostDigestDecorator(prof *HostProfiler) func(*RunRecord) {
-	if prof == nil {
-		return nil
-	}
-	return func(rec *RunRecord) {
-		if d, err := prof.ProfileDigest(); err == nil {
-			rec.HostProfileDigest = d
-		}
-	}
-}
-
-// chainDecorators composes optional record decorators.
-func chainDecorators(ds ...func(*RunRecord)) func(*RunRecord) {
-	var live []func(*RunRecord)
-	for _, d := range ds {
-		if d != nil {
-			live = append(live, d)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	return func(rec *RunRecord) {
-		for _, d := range live {
-			d(rec)
-		}
-	}
 }
 
 // ServeObservabilityWithSources is ServeObservability plus /hostmetrics

@@ -102,7 +102,7 @@ func runGoldenCase(t *testing.T, group string, c goldenCase) goldenEntry {
 			t.Fatal(err)
 		}
 		e.Input = hex.EncodeToString(h.Sum(nil))
-		res, err = ReplayTraces(c.cfg, c.traces)
+		res, err = ReplayTraces(c.cfg, c.traces, RunOptions{})
 	} else {
 		if m, err = c.mkMem(); err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func runGoldenCase(t *testing.T, group string, c goldenCase) goldenEntry {
 		e.Input = runledger.Begin(c.cfg, c.text, m, c.startPCs).Key()
 		if c.observed {
 			col := NewCollector(c.cfg, CollectorOptions{MetricsInterval: 64})
-			res, err = RunMTObserved(c.cfg, c.text, m, []Observer{col}, c.startPCs...)
+			res, err = Run(c.cfg, c.text, m, RunOptions{Observers: []Observer{col}}, c.startPCs...)
 			var buf bytes.Buffer
 			if werr := col.WriteMetricsJSON(&buf); werr != nil {
 				t.Fatal(werr)

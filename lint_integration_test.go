@@ -1,7 +1,6 @@
 package hirata_test
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,8 +128,8 @@ func TestExampleMinCLintClean(t *testing.T) {
 	}
 }
 
-// TestStrictVerify checks the StrictVerify run gate on both machines and on
-// every multithreaded entry point.
+// TestStrictVerify checks the StrictVerify run gate on both machines and
+// under every combination of run options.
 func TestStrictVerify(t *testing.T) {
 	bad := hirata.Program{}
 	{
@@ -156,36 +155,23 @@ func TestStrictVerify(t *testing.T) {
 
 	// A program that halts but reads uninitialized registers (L001): it
 	// runs to completion without the gate, so only the gate can refuse it.
-	// Every multithreaded entry point must apply the same gate.
+	// Every combination of run options must apply the same gate.
 	halting, err := hirata.Assemble("\tadd r3, r1, r2\n\thalt\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := map[string]func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error){
-		"RunMT": func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error) {
-			return hirata.RunMT(cfg, halting.Text, m)
-		},
-		"RunMTTraced": func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error) {
-			return hirata.RunMTTraced(cfg, halting.Text, m, io.Discard)
-		},
-		"RunMTObserved": func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error) {
-			return hirata.RunMTObserved(cfg, halting.Text, m, nil)
-		},
-		"RunMTHostProfiled": func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error) {
-			return hirata.RunMTHostProfiled(cfg, halting.Text, m, hirata.NewHostProfiler(hirata.HostProfilerOptions{}))
-		},
-		"RunMTProfiledObserved": func(cfg hirata.MTConfig, m *hirata.Memory) (hirata.MTResult, error) {
-			return hirata.RunMTProfiledObserved(cfg, halting.Text, m, nil, hirata.NewHostProfiler(hirata.HostProfilerOptions{}))
-		},
-	}
-	for name, run := range entries {
-		if _, err := run(hirata.MTConfig{}, hirata.NewMemory(16)); err != nil {
-			t.Errorf("%s without StrictVerify: %v", name, err)
+	for _, oc := range hirata.RunOptionCases {
+		run := func(cfg hirata.MTConfig) error {
+			_, err := hirata.Run(cfg, halting.Text, hirata.NewMemory(16), oc.Options(cfg))
+			return err
 		}
-		if _, err := run(hirata.MTConfig{StrictVerify: true}, hirata.NewMemory(16)); err == nil {
-			t.Errorf("%s(StrictVerify) ran a program with findings", name)
+		if err := run(hirata.MTConfig{}); err != nil {
+			t.Errorf("Run(%s) without StrictVerify: %v", oc.Name, err)
+		}
+		if err := run(hirata.MTConfig{StrictVerify: true}); err == nil {
+			t.Errorf("Run(%s, StrictVerify) ran a program with findings", oc.Name)
 		} else if !strings.Contains(err.Error(), "L001") {
-			t.Errorf("%s error does not carry diagnostics: %v", name, err)
+			t.Errorf("Run(%s) error does not carry diagnostics: %v", oc.Name, err)
 		}
 	}
 

@@ -3,9 +3,6 @@ package hirata
 import (
 	"fmt"
 	"strings"
-
-	"hirata/internal/core"
-	"hirata/internal/trace"
 )
 
 // MultiprogramCell is one measurement of heterogeneous multiprogrammed
@@ -28,8 +25,8 @@ type MultiprogramCell struct {
 func RunMultiprogram(slots []int) ([]MultiprogramCell, error) {
 	type job struct {
 		name   string
-		inputs []core.TraceInput // converted once, shared by every slot replaying it
-		cycles uint64            // baseline RISC cycles
+		recs   []TraceRecord // shared by every slot replaying it
+		cycles uint64        // baseline RISC cycles
 	}
 
 	// Phase 1: each job records its trace and runs its RISC baseline in an
@@ -70,7 +67,7 @@ func RunMultiprogram(slots []int) ([]MultiprogramCell, error) {
 		if err != nil {
 			return job{}, err
 		}
-		recs, err := trace.RecordProgram(text, mRec, 0)
+		recs, err := RecordTrace(text, mRec)
 		if err != nil {
 			return job{}, err
 		}
@@ -82,7 +79,7 @@ func RunMultiprogram(slots []int) ([]MultiprogramCell, error) {
 		if err != nil {
 			return job{}, err
 		}
-		return job{sp.name, traceInputs(recs), res.Cycles}, nil
+		return job{sp.name, recs, res.Cycles}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -91,22 +88,18 @@ func RunMultiprogram(slots []int) ([]MultiprogramCell, error) {
 	// Phase 2: one replay cell per slot count, each with its own processor.
 	return runCells(len(slots), func(si int) (MultiprogramCell, error) {
 		s := slots[si]
-		traces := make([][]core.TraceInput, s)
+		traces := make([][]TraceRecord, s)
 		var serial uint64
 		for i := 0; i < s; i++ {
 			j := jobs[i%len(jobs)]
-			traces[i] = j.inputs
+			traces[i] = j.recs
 			serial += j.cycles
 		}
-		p, err := core.NewTraceDriven(core.Config{
+		res, err := ReplayTraces(MTConfig{
 			ThreadSlots:     s,
 			LoadStoreUnits:  2,
 			StandbyStations: true,
-		}, traces)
-		if err != nil {
-			return MultiprogramCell{}, err
-		}
-		res, err := p.Run()
+		}, traces, RunOptions{})
 		if err != nil {
 			return MultiprogramCell{}, fmt.Errorf("multiprogram (%d slots): %w", s, err)
 		}

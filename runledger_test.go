@@ -7,6 +7,9 @@ package hirata
 // delta, and re-recording must reproduce each content hash byte for byte).
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"testing"
 
 	"hirata/internal/runledger"
@@ -111,74 +114,141 @@ func TestRunDiffAcceptance(t *testing.T) {
 	}
 }
 
-// TestRunRecordObservedModes: the observed and host-profiled run paths
-// record too, sharing the plain run's key; the observed record carries the
-// exact CPI stack and every slot row still sums to the run's cycles.
+// runOptionCase is one combination of the run-option matrix. Options
+// builds fresh instrumentation for each run on a machine of shape cfg.
+type runOptionCase struct {
+	Name    string
+	Options func(cfg MTConfig) RunOptions
+}
+
+// runOptionCases is the run-option matrix every run path must honour
+// alike: no options, each kind of instrumentation alone, and all at once.
+var runOptionCases = []runOptionCase{
+	{"none", func(MTConfig) RunOptions { return RunOptions{} }},
+	{"collector", func(cfg MTConfig) RunOptions {
+		return RunOptions{Observers: []Observer{NewCollector(cfg, CollectorOptions{MetricsInterval: 64})}}
+	}},
+	{"tracer", func(MTConfig) RunOptions {
+		return RunOptions{Observers: []Observer{&TextTracer{W: io.Discard}}}
+	}},
+	{"host", func(MTConfig) RunOptions {
+		return RunOptions{Host: NewHostProfiler(HostProfilerOptions{})}
+	}},
+	{"all", func(cfg MTConfig) RunOptions {
+		return RunOptions{
+			Observers: []Observer{NewCollector(cfg, CollectorOptions{MetricsInterval: 64}), &TextTracer{W: io.Discard}},
+			Host:      NewHostProfiler(HostProfilerOptions{}),
+		}
+	}},
+}
+
+// TestRunRecordObservedModes runs every run-option combination on a
+// program run and on a 3-copy ray-trace replay, each with a fresh ledger
+// attached. Every combination must give the plain run's Result byte for
+// byte and append exactly one record under the plain run's key. The record
+// carries the exact CPI stack exactly when a Collector is attached (every
+// slot row summing to the run's cycles) and the host-profile digest
+// exactly when Host is set; every Collector is finalized.
 func TestRunRecordObservedModes(t *testing.T) {
 	rt, err := BuildRayTrace(RayTraceConfig{Spheres: 4, Rays: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := MTConfig{ThreadSlots: 4, StandbyStations: true}
-	led := NewRunLedger()
-
-	plain := rayTraceRecord(t, led, "modes", cfg)
-
-	m, err := rt.NewMemory(rt.Par, 4)
+	m, err := rt.NewMemory(rt.Seq, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetRunLedger(led, "modes")
-	defer SetRunLedger(nil, "")
-	c := NewCollector(cfg, CollectorOptions{})
-	res, err := RunMTObserved(cfg, rt.Par.Text, m, []Observer{c})
+	recs, err := RecordTrace(rt.Seq.Text, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := led.Entries()
-	observed := entries[len(entries)-1]
-	if observed.Record.Key != plain.Record.Key {
-		t.Error("observed run keyed differently from the plain run")
+	inputs := []struct {
+		name string
+		run  func(RunOptions) (MTResult, error)
+	}{
+		{"program", func(opt RunOptions) (MTResult, error) {
+			m, err := rt.NewMemory(rt.Par, cfg.ThreadSlots)
+			if err != nil {
+				return MTResult{}, err
+			}
+			return Run(cfg, rt.Par.Text, m, opt)
+		}},
+		{"replay", func(opt RunOptions) (MTResult, error) {
+			return ReplayTraces(cfg, [][]TraceRecord{recs, recs, recs}, opt)
+		}},
 	}
-	if observed.Hash == plain.Hash {
-		t.Error("observed record deduped against the plain record despite the exact CPI section")
-	}
-	if observed.Record.ExactCPI == nil {
-		t.Fatal("observed record lacks the exact CPI stack")
-	}
-	for s, row := range observed.Record.ExactCPI.Slots {
-		var sum int64
-		for _, v := range row {
-			sum += v
+	// record runs one simulation with a fresh ledger attached and returns
+	// its Result as JSON and the one record it appended.
+	record := func(t *testing.T, run func(RunOptions) (MTResult, error), opt RunOptions) (MTResult, []byte, RunLedgerEntry) {
+		t.Helper()
+		led := NewRunLedger()
+		SetRunLedger(led, "modes")
+		defer SetRunLedger(nil, "")
+		res, err := run(opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sum != int64(res.Cycles) {
-			t.Errorf("exact CPI slot %d sums to %d, want %d", s, sum, res.Cycles)
+		if err := RunLedgerError(); err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Host-profiled runs attach the profile artifact digest.
-	m2, err := rt.NewMemory(rt.Par, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := NewHostProfiler(HostProfilerOptions{})
-	if _, err := RunMTHostProfiled(cfg, rt.Par.Text, m2, prof); err != nil {
-		t.Fatal(err)
-	}
-	entries = led.Entries()
-	profiled := entries[len(entries)-1]
-	if profiled.Record.Key != plain.Record.Key {
-		t.Error("profiled run keyed differently from the plain run")
-	}
-	if profiled.Record.HostProfileDigest == "" {
-		t.Error("profiled record lacks the host-profile digest")
-	}
-
-	// Every record agrees on the simulated outcome regardless of mode.
-	for _, e := range []RunLedgerEntry{plain, observed, profiled} {
-		if e.Record.Result.Cycles != res.Cycles {
-			t.Errorf("record %s reports %d cycles, want %d",
-				runledger.ShortKey(e.Hash), e.Record.Result.Cycles, res.Cycles)
+		if st := led.Stats(); st.Appends != 1 || st.Records != 1 {
+			t.Fatalf("run appended %d records (%d stored), want exactly 1", st.Appends, st.Records)
 		}
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, js, led.Entries()[0]
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			_, plainJSON, plain := record(t, in.run, RunOptions{})
+			for _, oc := range runOptionCases {
+				opt := oc.Options(cfg)
+				res, js, e := record(t, in.run, opt)
+				if !bytes.Equal(js, plainJSON) {
+					t.Errorf("%s: Result differs from the plain run's", oc.Name)
+				}
+				if e.Record.Key != plain.Record.Key {
+					t.Errorf("%s: run keyed differently from the plain run", oc.Name)
+				}
+				var collectors int
+				for _, o := range opt.Observers {
+					if c, ok := o.(*Collector); ok {
+						collectors++
+						if st := c.CPIStack(); st.Cycles != res.Cycles {
+							t.Errorf("%s: collector not finalized: CPI stack covers %d cycles, want %d", oc.Name, st.Cycles, res.Cycles)
+						}
+						// Only Finalize closes the trailing metrics interval.
+						if ss := c.Samples(); len(ss) == 0 || ss[len(ss)-1].EndCycle != res.Cycles {
+							t.Errorf("%s: collector not finalized: metrics series does not end at cycle %d", oc.Name, res.Cycles)
+						}
+					}
+				}
+				if got := e.Record.ExactCPI != nil; got != (collectors > 0) {
+					t.Errorf("%s: record has exact CPI stack = %v, want %v", oc.Name, got, collectors > 0)
+				} else if got {
+					for s, row := range e.Record.ExactCPI.Slots {
+						var sum int64
+						for _, v := range row {
+							sum += v
+						}
+						if sum != int64(res.Cycles) {
+							t.Errorf("%s: exact CPI slot %d sums to %d, want %d", oc.Name, s, sum, res.Cycles)
+						}
+					}
+				}
+				if got := e.Record.HostProfileDigest != ""; got != (opt.Host != nil) {
+					t.Errorf("%s: record has host-profile digest = %v, want %v", oc.Name, got, opt.Host != nil)
+				}
+				// A record without optional sections is the plain record.
+				plainRecord := e.Record.ExactCPI == nil && e.Record.HostProfileDigest == ""
+				if (e.Hash == plain.Hash) != plainRecord {
+					t.Errorf("%s: record hash %s vs plain %s, want equal = %v", oc.Name,
+						runledger.ShortKey(e.Hash), runledger.ShortKey(plain.Hash), plainRecord)
+				}
+			}
+		})
 	}
 }

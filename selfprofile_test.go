@@ -37,7 +37,7 @@ func BenchmarkSimulatorThroughputSelfProfile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := RunMTHostProfiled(cfg, rt.Par.Text, m, prof); err != nil {
+		if _, err := Run(cfg, rt.Par.Text, m, RunOptions{Host: prof}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,12 +70,7 @@ func TestSelfProfileOverheadWithinBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		if prof != nil {
-			_, err = RunMTHostProfiled(cfg, rt.Par.Text, m, prof)
-		} else {
-			_, err = RunMT(cfg, rt.Par.Text, m)
-		}
-		if err != nil {
+		if _, err := Run(cfg, rt.Par.Text, m, RunOptions{Host: prof}); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

@@ -47,6 +47,13 @@
 //     ledger's cache key; a field added without a decision there would
 //     silently alias two different machines under one run key.
 //
+//   - runpath: outside internal/core, only the facade file holding the
+//     shared run tail (hirata.go) may call core.New or core.NewTraceDriven.
+//     Every other simulation goes through hirata.Run or hirata.ReplayTraces,
+//     so the StrictVerify gate, ledger recording and Collector finalization
+//     apply to all of them alike. _test.go files and the perfbench module,
+//     which drives the core directly by design, are exempt.
+//
 // Usage (from the module root):
 //
 //	go run ./tools/analyzers ./...
@@ -179,7 +186,7 @@ func parseUnits(fset *token.FileSet, dir string, failed *bool) []unit {
 	return units
 }
 
-// checkUnit type-checks one unit and runs both analyses over it.
+// checkUnit type-checks one unit and runs the per-package analyses over it.
 func checkUnit(fset *token.FileSet, dir string, u unit) []string {
 	pkgPath := modulePath
 	if dir != "." {
@@ -209,6 +216,7 @@ func checkUnit(fset *token.FileSet, dir string, u unit) []string {
 	findings = append(findings, checkShareCopy(fset, pkgPath, u.files, info)...)
 	findings = append(findings, checkConfigField(fset, pkgPath, u.files, info)...)
 	findings = append(findings, checkHotTime(fset, pkgPath, u.files, info)...)
+	findings = append(findings, checkRunPath(fset, pkgPath, u.files, info)...)
 	return findings
 }
 

@@ -15,8 +15,15 @@ import (
 // pkgPath, resolving this module's imports through the source importer.
 func typecheckSrc(t *testing.T, pkgPath, src string) (*token.FileSet, []*ast.File, *types.Info) {
 	t.Helper()
+	return typecheckFile(t, pkgPath, "fixture.go", src)
+}
+
+// typecheckFile is typecheckSrc with the file named filename, for checks
+// that exempt files by name.
+func typecheckFile(t *testing.T, pkgPath, filename, src string) (*token.FileSet, []*ast.File, *types.Info) {
+	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "fixture.go", src, parser.ParseComments)
+	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}

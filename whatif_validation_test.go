@@ -32,7 +32,7 @@ func rayTraceObserved(t *testing.T, cfg core.Config) (*Collector, MTResult, *Ray
 		t.Fatal(err)
 	}
 	c := NewCollector(cfg, CollectorOptions{})
-	res, err := RunMTObserved(cfg, rt.Par.Text, m, []Observer{c})
+	res, err := Run(cfg, rt.Par.Text, m, RunOptions{Observers: []Observer{c}})
 	if err != nil {
 		t.Fatal(err)
 	}
