@@ -16,8 +16,10 @@ test:
 	$(GO) test ./...
 	cd perfbench && $(GO) vet . && $(GO) test .
 
+# The self-profile overhead budget is skipped under -race, which would
+# time the race detector rather than the profiler; `make test` enforces it.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -skip '^TestSelfProfileOverheadWithinBudget$$' ./...
 
 # lint = every static check: go vet, the repository's custom Go analyzers,
 # and the program verifier over the shipped examples.
@@ -48,11 +50,12 @@ lint-bounds:
 	$(GO) run ./cmd/hirata-lint -bound examples/programs
 	$(GO) test -run 'TestWorkloadsDeadlockClean|TestBoundExamples|TestBoundWorkloads' .
 
-# Short fuzz sessions against the MinC compiler and the trace reader (CI
-# runs seeds only).
+# Short fuzz sessions against the MinC compiler, the trace reader and the
+# assembler (CI runs seeds only).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime 30s ./internal/minc/
 	$(GO) test -run xxx -fuzz FuzzRead -fuzztime 30s ./internal/trace/
+	$(GO) test -run xxx -fuzz FuzzAssemble -fuzztime 30s ./internal/asm/
 
 fmt:
 	gofmt -w .

@@ -19,10 +19,9 @@ type selfProfileOutputs struct {
 // runSelfProfile turns the simulator's observability on itself: it runs the
 // representative 8-slot ray trace (the Table 2 configuration) with the host
 // profiler attached, runs the speed-up sweep with sweep telemetry recording
-// worker timelines, and prints the cycle-loop phase profile. The profiler
-// leaves quiescent-cycle skipping armed, so the profiled run is
-// cycle-identical to an unprofiled one (unless -http attaches a pipeline
-// collector, which disables skipping as it always has).
+// worker timelines, and prints the cycle-loop phase profile. Neither the
+// profiler nor the pipeline collector -http attaches disarms quiescent-cycle
+// skipping, so the profiled run steps exactly as an unprofiled one.
 func runSelfProfile(w io.Writer, rt hirata.RayTraceConfig, out selfProfileOutputs) error {
 	prof := hirata.NewHostProfiler(hirata.HostProfilerOptions{})
 	rec := hirata.NewSweepRecorder()

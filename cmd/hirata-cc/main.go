@@ -40,6 +40,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: hirata-cc [-run] [-lint] kernel.mc")
 		os.Exit(2)
 	}
+	if *slots < 0 {
+		check(fmt.Errorf("-slots must not be negative, got %d", *slots))
+	}
 	src, err := os.ReadFile(flag.Arg(0))
 	check(err)
 
@@ -65,12 +68,13 @@ func main() {
 	}
 	m, err := prog.NewMemory(4096)
 	check(err)
-	minc.SetThreads(prog, m, *slots)
-	res, err := hirata.RunMT(hirata.MTConfig{
+	cfg := hirata.MTConfig{
 		ThreadSlots:     *slots,
 		LoadStoreUnits:  *ls,
 		StandbyStations: true,
-	}, prog.Text, m)
+	}
+	minc.SetThreads(prog, m, cfg.Effective().ThreadSlots)
+	res, err := hirata.RunMT(cfg, prog.Text, m)
 	check(err)
 	if *verbose {
 		fmt.Print(res.String())

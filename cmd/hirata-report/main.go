@@ -115,6 +115,9 @@ func cmdRecord(args []string) error {
 	if *threads < 0 {
 		return fmt.Errorf("record: -threads must not be negative, got %d", *threads)
 	}
+	if *slots < 0 {
+		return fmt.Errorf("record: -slots must not be negative, got %d", *slots)
+	}
 	cfg := hirata.MTConfig{
 		ThreadSlots:      *slots,
 		LoadStoreUnits:   *ls,
@@ -158,7 +161,7 @@ func cmdRecord(args []string) error {
 		if err != nil {
 			return err
 		}
-		hirata.SetMinCThreads(prog, m, *slots)
+		hirata.SetMinCThreads(prog, m, cfg.Effective().ThreadSlots)
 		text = prog.Text
 		pcs = make([]int64, *threads)
 	default:

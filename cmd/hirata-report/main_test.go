@@ -62,3 +62,41 @@ func TestRecordProgram(t *testing.T) {
 		t.Errorf("ls: exit %d, stdout %q, stderr %q; want one record with exact-cpi and bounds", code, stdout, stderr)
 	}
 }
+
+// TestRecordZeroSlotsRunsOneSlot: -slots 0 records the one-slot run a
+// MinC program is told about, matching -slots 1.
+func TestRecordZeroSlotsRunsOneSlot(t *testing.T) {
+	cycles := func(slots string) string {
+		ledger := filepath.Join(t.TempDir(), "x.ledger")
+		stdout, stderr, code := runReport(t, "record", "-ledger", ledger, "-slots", slots, "../../examples/programs/mandel.mc")
+		_, result, ok := strings.Cut(stdout, " cycles=")
+		if code != 0 || !ok {
+			t.Fatalf("-slots %s: exit %d, stdout %q, stderr %q", slots, code, stdout, stderr)
+		}
+		return result
+	}
+	if zero, one := cycles("0"), cycles("1"); zero != one {
+		t.Errorf("-slots 0 recorded cycles=%s, -slots 1 cycles=%s", zero, one)
+	}
+}
+
+// TestRecordBadSizesAreErrors: a negative -slots and an oversized
+// -headroom each give one error line and leave the ledger untouched.
+func TestRecordBadSizesAreErrors(t *testing.T) {
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-slots", "-1", "-slots"},
+		{"-headroom", "9000000000000000", "headroom"},
+	} {
+		ledger := filepath.Join(t.TempDir(), "x.ledger")
+		_, stderr, code := runReport(t, "record", "-ledger", ledger, tc.flag, tc.value, "../../examples/programs/mandel.mc")
+		if code != 1 {
+			t.Errorf("%s %s: exit %d, want 1", tc.flag, tc.value, code)
+		}
+		if lines := strings.Split(strings.TrimSpace(stderr), "\n"); len(lines) != 1 || !strings.Contains(lines[0], tc.want) {
+			t.Errorf("%s %s: stderr = %q, want one line containing %q", tc.flag, tc.value, stderr, tc.want)
+		}
+		if _, err := os.Stat(ledger); !os.IsNotExist(err) {
+			t.Errorf("%s %s: refused record touched the ledger file (stat: %v)", tc.flag, tc.value, err)
+		}
+	}
+}

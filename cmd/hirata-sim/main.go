@@ -85,6 +85,9 @@ func main() {
 	if *threads < 0 {
 		fail(fmt.Errorf("-threads must not be negative, got %d", *threads))
 	}
+	if *slots < 0 {
+		fail(fmt.Errorf("-slots must not be negative, got %d", *slots))
+	}
 
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -117,7 +120,7 @@ func main() {
 			ContextFrames:    *frames,
 		}
 		pcs := make([]int64, *threads)
-		hirata.SetMinCThreads(prog, m, *slots)
+		hirata.SetMinCThreads(prog, m, cfg.Effective().ThreadSlots)
 
 		if *statCheck {
 			if err := staticCheck(prog, cfg, m, pcs); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -62,4 +63,45 @@ func TestObservedProfiledRun(t *testing.T) {
 	if want := fmt.Sprintf("cycle accounting over %d cycles", cycles); !strings.Contains(stdout, want) {
 		t.Errorf("CPI stack does not cover the run (want %q):\n%s", want, stdout)
 	}
+}
+
+// wantOneErrorLine requires a failing exit with exactly one stderr line
+// that contains want.
+func wantOneErrorLine(t *testing.T, stderr string, code int, want string) {
+	t.Helper()
+	if code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if lines := strings.Split(strings.TrimSpace(stderr), "\n"); len(lines) != 1 || !strings.Contains(lines[0], want) {
+		t.Errorf("stderr = %q, want one line containing %q", stderr, want)
+	}
+}
+
+// TestZeroSlotsRunsOneSlot: -slots 0 means the core's default of one slot,
+// and a MinC program must be told the thread count the machine actually
+// runs, so the run matches -slots 1 exactly.
+func TestZeroSlotsRunsOneSlot(t *testing.T) {
+	one, stderr, code := runSim(t, "-slots", "1", "../../examples/programs/mandel.mc")
+	if code != 0 || !strings.HasPrefix(one, "cycles=") {
+		t.Fatalf("-slots 1: exit %d, stdout %q, stderr %q", code, one, stderr)
+	}
+	zero, stderr, code := runSim(t, "-slots", "0", "../../examples/programs/mandel.mc")
+	if code != 0 || zero != one {
+		t.Errorf("-slots 0: exit %d, stdout %q, stderr %q; want the -slots 1 result %q", code, zero, stderr, one)
+	}
+}
+
+// TestBadSizesAreErrors: a negative slot count, an oversized headroom and
+// an oversized data image each give one error line, never a panic.
+func TestBadSizesAreErrors(t *testing.T) {
+	_, stderr, code := runSim(t, "-slots", "-1", "../../examples/programs/mandel.mc")
+	wantOneErrorLine(t, stderr, code, "-slots")
+	_, stderr, code = runSim(t, "-headroom", "9000000000000000", "../../examples/programs/fib.s")
+	wantOneErrorLine(t, stderr, code, "headroom")
+	big := filepath.Join(t.TempDir(), "big.s")
+	if err := os.WriteFile(big, []byte("\t.data\n\t.space 9000000000000000\n\t.text\n\thalt\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code = runSim(t, big)
+	wantOneErrorLine(t, stderr, code, "line 2")
 }

@@ -77,18 +77,19 @@ func main() {
 			check(fmt.Errorf("-slots must not be negative, got %d", *slots))
 		}
 		recs := load(*replay)
-		n := *copies
-		if n <= 0 {
-			n = *slots
-		}
-		traces := make([][]hirata.TraceRecord, n)
-		for i := range traces {
-			traces[i] = recs
-		}
 		cfg := hirata.MTConfig{
 			ThreadSlots:     *slots,
 			LoadStoreUnits:  *ls,
 			StandbyStations: *standby,
+		}
+		nSlots := cfg.Effective().ThreadSlots
+		n := *copies
+		if n <= 0 {
+			n = nSlots
+		}
+		traces := make([][]hirata.TraceRecord, n)
+		for i := range traces {
+			traces[i] = recs
 		}
 		var opt hirata.RunOptions
 		var col *hirata.Collector
@@ -98,7 +99,7 @@ func main() {
 		}
 		res, err := hirata.ReplayTraces(cfg, traces, opt)
 		check(err)
-		fmt.Printf("replayed %d x %d instructions on %d slots\n", n, len(recs), *slots)
+		fmt.Printf("replayed %d x %d instructions on %d slots\n", n, len(recs), nSlots)
 		fmt.Print(res.String())
 		if *chromeTrace != "" {
 			f, err := os.Create(*chromeTrace)

@@ -80,3 +80,17 @@ func TestReplayNegativeSlotsFlag(t *testing.T) {
 		t.Errorf("stderr = %q, want one line naming -slots", stderr)
 	}
 }
+
+// TestReplayZeroSlotsRunsOneSlot: -slots 0 replays one copy on the core's
+// default single slot, exactly as -slots 1 does.
+func TestReplayZeroSlotsRunsOneSlot(t *testing.T) {
+	path := recordFib(t)
+	one, stderr, code := runTrace(t, "-replay", path, "-slots", "1")
+	if code != 0 || !strings.HasPrefix(one, "replayed 1 x 126 instructions on 1 slots\n") {
+		t.Fatalf("-slots 1: exit %d, stdout %q, stderr %q", code, one, stderr)
+	}
+	zero, stderr, code := runTrace(t, "-replay", path, "-slots", "0")
+	if code != 0 || zero != one {
+		t.Errorf("-slots 0: exit %d, stdout %q, stderr %q; want the -slots 1 output %q", code, zero, stderr, one)
+	}
+}

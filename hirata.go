@@ -202,10 +202,9 @@ type RunOptions struct {
 	// finalized against the run's Result before the run returns.
 	Observers []Observer
 	// Host, when non-nil, samples the cycle loop's wall time per phase.
-	// Unlike pipeline observers it leaves quiescent-cycle skipping armed,
-	// so a run with only Host set produces the unprofiled Result. With
-	// Observers attached too, it times the cycle-by-cycle stepping they
-	// force, including quiescent cycles a bare run would jump over.
+	// Neither it nor Observers disarm quiescent-cycle skipping, so it
+	// times the steps the bare run takes, and the run produces the bare
+	// Result.
 	Host *HostProfiler
 }
 

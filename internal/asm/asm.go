@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"hirata/internal/isa"
+	"hirata/internal/mem"
 )
 
 // Assemble translates assembly source into a Program. Errors identify the
@@ -141,6 +142,9 @@ func (a *assembler) directive(line int, mnem, rest string) error {
 		if err != nil || v < 0 {
 			return a.errf(line, ".org needs a non-negative integer, got %q", rest)
 		}
+		if v > mem.MaxWords {
+			return a.errf(line, ".org %d is past the %d-word memory limit", v, mem.MaxWords)
+		}
 		a.loc = v
 		a.section = sectData
 	case ".space":
@@ -150,6 +154,9 @@ func (a *assembler) directive(line int, mnem, rest string) error {
 		n, err := strconv.ParseInt(strings.TrimSpace(rest), 0, 64)
 		if err != nil || n < 0 {
 			return a.errf(line, ".space needs a non-negative integer, got %q", rest)
+		}
+		if n > mem.MaxWords-a.loc {
+			return a.errf(line, ".space %d runs past the %d-word memory limit", n, mem.MaxWords)
 		}
 		a.loc += n
 		a.bumpDataEnd()
@@ -169,6 +176,9 @@ func (a *assembler) directive(line int, mnem, rest string) error {
 			a.prog.WordTypes = make(map[int64]WordClass)
 		}
 		for _, f := range fields {
+			if a.loc >= mem.MaxWords {
+				return a.errf(line, "%s runs past the %d-word memory limit", mnem, mem.MaxWords)
+			}
 			a.slots = append(a.slots, dataSlot{line: line, addr: a.loc, expr: f, float: mnem == ".float"})
 			a.prog.WordTypes[a.loc] = class
 			a.loc++

@@ -113,8 +113,16 @@ func (p *Program) InitMemory(m *mem.Memory) error {
 }
 
 // NewMemory allocates a memory just large enough for the data image (with
-// the given amount of extra headroom in words) and initialises it.
+// the given amount of extra headroom in words) and initialises it. A
+// negative headroom, or a total above mem.MaxWords, is an error.
 func (p *Program) NewMemory(headroom int64) (*mem.Memory, error) {
+	if headroom < 0 {
+		return nil, fmt.Errorf("asm: memory headroom must not be negative, got %d", headroom)
+	}
+	if headroom > mem.MaxWords-p.DataEnd {
+		return nil, fmt.Errorf("asm: data image (%d words) plus headroom %d exceeds the %d-word memory limit",
+			p.DataEnd, headroom, mem.MaxWords)
+	}
 	size := p.DataEnd + headroom
 	if size < 1 {
 		size = 1

@@ -481,7 +481,7 @@ func TestRotationChangesArbitration(t *testing.T) {
 		t.Fatal(err)
 	}
 	wins := [2]int{}
-	p.OnSelect = func(slot int, pc int64, _ uint64) { wins[slot]++ }
+	p.Observe(&hookObserver{sel: func(slot int, pc int64, _ uint64) { wins[slot]++ }})
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}

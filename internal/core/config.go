@@ -109,11 +109,11 @@ type Config struct {
 	MaxCycles uint64
 	// DisableCycleSkip pins the simulator to cycle-by-cycle stepping even
 	// through quiescent stretches (every slot idle or draining, all
-	// activity waiting on a known future event). The skip is cycle-exact —
-	// differential tests compare skipping runs against this reference
-	// path — so the flag exists for those tests and for debugging, not for
-	// correct results. Attaching an observer or the OnIssue/OnSelect hooks
-	// disables skipping regardless of this flag.
+	// activity waiting on a known future event). The skip is cycle-exact,
+	// for bare and observed runs alike — differential tests compare
+	// skipping runs, their Results and their Observer streams, against
+	// this reference path — so the flag exists for those tests and for
+	// debugging, not for correct results.
 	DisableCycleSkip bool
 	// StrictVerify makes the top-level runners (hirata.RunMT) refuse to
 	// simulate a program the static verifier (internal/lint) finds

@@ -72,7 +72,7 @@ func TestDependentIssueDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	issue := map[int64]uint64{}
-	p.OnIssue = func(_ int, pc int64, cyc uint64) { issue[pc] = cyc }
+	p.Observe(&hookObserver{issue: func(_ int, pc int64, cyc uint64) { issue[pc] = cyc }})
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestLoadUseDistance(t *testing.T) {
 	m, _ := prog.NewMemory(256)
 	p, _ := New(Config{ThreadSlots: 1, StandbyStations: true}, prog.Text, m)
 	issue := map[int64]uint64{}
-	p.OnIssue = func(_ int, pc int64, cyc uint64) { issue[pc] = cyc }
+	p.Observe(&hookObserver{issue: func(_ int, pc int64, cyc uint64) { issue[pc] = cyc }})
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestBranchDelay(t *testing.T) {
 	m, _ := prog.NewMemory(16)
 	p, _ := New(Config{ThreadSlots: 1, StandbyStations: true}, prog.Text, m)
 	issue := map[int64]uint64{}
-	p.OnIssue = func(_ int, pc int64, cyc uint64) { issue[pc] = cyc }
+	p.Observe(&hookObserver{issue: func(_ int, pc int64, cyc uint64) { issue[pc] = cyc }})
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +154,13 @@ func TestIssueRateOneInstrPerCycle(t *testing.T) {
 	p, _ := New(Config{ThreadSlots: 1, StandbyStations: true}, prog.Text, m)
 	var first, last uint64
 	n := 0
-	p.OnIssue = func(_ int, pc int64, cyc uint64) {
+	p.Observe(&hookObserver{issue: func(_ int, pc int64, cyc uint64) {
 		if n == 0 {
 			first = cyc
 		}
 		last = cyc
 		n++
-	}
+	}})
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func TestStandbyStationOutOfOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		sel := map[int64]uint64{}
-		p.OnIssue = func(slot int, pc int64, cyc uint64) {
+		p.Observe(&hookObserver{issue: func(slot int, pc int64, cyc uint64) {
 			if slot == 0 {
 				sel[pc] = cyc
 			}
-		}
+		}})
 		if _, err := p.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +365,7 @@ func TestLoadStoreUnitIssueLatency(t *testing.T) {
 	m, _ := prog.NewMemory(256)
 	p, _ := New(Config{ThreadSlots: 1, StandbyStations: true, LoadStoreUnits: 1}, prog.Text, m)
 	sel := map[int64]uint64{}
-	p.OnSelect = func(_ int, pc int64, cyc uint64) { sel[pc] = cyc }
+	p.Observe(&hookObserver{sel: func(_ int, pc int64, cyc uint64) { sel[pc] = cyc }})
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -133,10 +133,7 @@ func (p *Processor) decodeAndAdvance() error {
 // wider widths implement the hybrid superscalar thread slots of §3.3.
 func (p *Processor) issueFromSlot(s *slot) error {
 	if len(s.d2) == 0 {
-		p.stats.Slots[s.id].Stalls[StallEmpty]++
-		if p.observer != nil {
-			p.observer.Stall(p.cycle, s.id, -1, StallEmpty)
-		}
+		p.stall(s, -1, StallEmpty)
 		return nil
 	}
 	if p.cfg.IssueWidth == 1 {
@@ -145,11 +142,10 @@ func (p *Processor) issueFromSlot(s *slot) error {
 		// decodeAndAdvance guarantees issueBudget > 0 on entry.
 		if s.stallUntil != 0 {
 			// The head is scoreboard-blocked and nothing that could unblock
-			// it has happened (see cacheHeadStall): tally the stall without
-			// re-deriving it. Observed runs recompute so per-cycle Stall
-			// callbacks carry the head pc.
-			if p.cycle < s.stallUntil && p.observer == nil {
-				p.stats.Slots[s.id].Stalls[s.stallReason]++
+			// it has happened (see cacheHeadStall): re-deriving would give
+			// the same head and reason, so report the stall without it.
+			if p.cycle < s.stallUntil {
+				p.stall(s, s.d2[0].pc, s.stallReason)
 				return nil
 			}
 			s.stallUntil = 0
@@ -169,10 +165,7 @@ func (p *Processor) issueFromSlot(s *slot) error {
 			return nil
 		}
 		if reason != StallNone {
-			p.stats.Slots[s.id].Stalls[reason]++
-			if p.observer != nil {
-				p.observer.Stall(p.cycle, s.id, s.d2[0].pc, reason)
-			}
+			p.stall(s, s.d2[0].pc, reason)
 		}
 		return nil
 	}
@@ -232,15 +225,21 @@ func (p *Processor) issueFromSlot(s *slot) error {
 		}
 		s.d2 = keep
 	} else if firstStall != StallNone {
-		p.stats.Slots[s.id].Stalls[firstStall]++
-		if p.observer != nil {
-			p.observer.Stall(p.cycle, s.id, s.d2[0].pc, firstStall)
-		}
+		p.stall(s, s.d2[0].pc, firstStall)
 	}
 	p.pendScratch = pendingDests[:0]
 	p.pendScratch2 = pendingSrcs[:0]
 	p.idxScratch = issuedIdx[:0]
 	return nil
+}
+
+// stall tallies one stall cycle of the slot and reports it with pc, the
+// head of the D2 window (-1 when the window is empty).
+func (p *Processor) stall(s *slot, pc int64, reason StallReason) {
+	p.stats.Slots[s.id].Stalls[reason]++
+	if p.observer != nil {
+		p.observer.Stall(p.cycle, s.id, pc, reason)
+	}
 }
 
 // appendReg appends r to dst when it names a real register.
@@ -525,7 +524,7 @@ func (p *Processor) issueControl(s *slot, f *contextFrame, di *dinstr) (bool, St
 
 	case exec.EffectChangePriority:
 		if p.explicit {
-			p.rotateOnce()
+			p.rotateOnce(p.cycle)
 		}
 		return true, StallNone, false, nil
 
@@ -652,9 +651,6 @@ func (p *Processor) noteIssued(s *slot, di *dinstr) {
 	p.stats.Slots[s.id].Issued++
 	p.stats.Instructions++
 	p.touch(p.cycle)
-	if p.OnIssue != nil {
-		p.OnIssue(s.id, di.pc, p.cycle)
-	}
 	if p.observer != nil {
 		p.observer.Issue(p.cycle, s.id, di.pc, di.ins)
 	}

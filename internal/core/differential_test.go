@@ -232,7 +232,7 @@ func TestBranchContentionExceedsFive(t *testing.T) {
 		branchPC[0] = 3
 		branchPC[1] = prog.MustSymbol("routb") + int64(skew) + 3
 		issue := map[[2]int64]uint64{}
-		p.OnIssue = func(slot int, pc int64, cyc uint64) { issue[[2]int64{int64(slot), pc}] = cyc }
+		p.Observe(&hookObserver{issue: func(slot int, pc int64, cyc uint64) { issue[[2]int64{int64(slot), pc}] = cyc }})
 		if _, err := p.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestTraceModeBranchDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	issue := map[int64]uint64{}
-	p.OnIssue = func(_ int, pc int64, cyc uint64) { issue[pc] = cyc }
+	p.Observe(&hookObserver{issue: func(_ int, pc int64, cyc uint64) { issue[pc] = cyc }})
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}

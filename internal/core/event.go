@@ -161,15 +161,15 @@ func (p *Processor) refreshFetchable(s *slot) {
 // cacheHeadStall records that a slot's D2 head is blocked — on the register
 // scoreboard until `until`, or on a full standby station/latch (reason
 // StallStandby, until = pendingReady). While the cache holds, issueFromSlot
-// tallies the reason without re-deriving it. Validity argument: the head
-// dinstr cannot change while the slot is stalled (any flush clears the
-// cache via flushPipeline), this slot's own scoreboard/standby/queue
-// mappings only mutate when it issues, a plain register's readyAt never
-// moves earlier (WAW interlock), and the one event that can lift a
-// sentinel-deadline stall — selectInstr draining this slot's standby
-// station or stamping its pending write — clears the cache explicitly.
-// A concrete deadline needs no invalidation at all: selections of other
-// registers cannot move it. Width 1 only: wide windows re-derive
+// tallies and reports the reason without re-deriving it, observed or not.
+// Validity argument: the head dinstr cannot change while the slot is
+// stalled (any flush clears the cache via flushPipeline), this slot's own
+// scoreboard/standby/queue mappings only mutate when it issues, a plain
+// register's readyAt never moves earlier (WAW interlock), and the one event
+// that can lift a sentinel-deadline stall — selectInstr draining this
+// slot's standby station or stamping its pending write — clears the cache
+// explicitly. A concrete deadline needs no invalidation at all: selections
+// of other registers cannot move it. Width 1 only: wide windows re-derive
 // intra-window hazards each cycle, and the priority interlock (needsPrio)
 // depends on rotation, so those never cache.
 func (p *Processor) cacheHeadStall(s *slot, pre *insMeta, until uint64, reason StallReason) {

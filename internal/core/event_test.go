@@ -97,7 +97,7 @@ func TestEventHorizonNeverLate(t *testing.T) {
 				if p.finished() {
 					break
 				}
-				if p.runningSlots == 0 && p.skipEnabled() {
+				if p.runningSlots == 0 {
 					checks++
 					ev := p.quiescentHorizon()
 					sc := p.quiescentHorizonScan()

@@ -139,21 +139,28 @@ func TestHostProbePhaseOrder(t *testing.T) {
 	}
 }
 
-// TestHostProbeKeepsSkipArmed verifies attaching a probe does not disable
-// quiescent-cycle fast-forwarding (unlike a Collector): the probe observes
-// jumps instead of preventing them, so profiled runs stay cycle-exact.
+// TestHostProbeKeepsSkipArmed verifies that neither a host probe nor a
+// pipeline Observer disarms quiescent-cycle fast-forwarding: on the
+// remote-chase kernel a run with both attached still jumps, and the probe
+// sees the jumps instead of preventing them.
 func TestHostProbeKeepsSkipArmed(t *testing.T) {
-	prog := asm.MustAssemble(allocLoopSrc)
-	m, err := prog.NewMemory(64)
+	prog := remoteChaseProg(t)
+	p, err := New(Config{ThreadSlots: 1, ContextFrames: 4, StandbyStations: true}, prog.Text, remoteChaseMem())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(Config{ThreadSlots: 2, StandbyStations: true}, prog.Text, m)
-	if err != nil {
+	for i := 0; i < 4; i++ {
+		if err := p.StartThread(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp := &countingProbe{}
+	p.SetHostProbe(cp)
+	p.Observe(&countingObserver{})
+	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	p.SetHostProbe(&countingProbe{})
-	if !p.skipEnabled() {
-		t.Error("host probe disabled cycle skipping; it must only observe")
+	if cp.skipJumps == 0 {
+		t.Error("observed, profiled run reported no SkipJump; observing must not disarm skipping")
 	}
 }

@@ -92,6 +92,31 @@ func (c *countingObserver) Trap(uint64, int, int, int64)          { c.traps++ }
 func (c *countingObserver) Rotate(uint64, []int)                  { c.rotates++ }
 func (c *countingObserver) ThreadEnd(uint64, int, int, bool)      { c.ends++ }
 
+// hookObserver is a test Observer that passes each Issue and Select
+// event's (slot, pc, cycle) to issue and sel, when set, and ignores the
+// other events.
+type hookObserver struct {
+	issue, sel func(slot int, pc int64, cycle uint64)
+}
+
+func (h *hookObserver) Issue(cycle uint64, slot int, pc int64, _ isa.Instruction) {
+	if h.issue != nil {
+		h.issue(slot, pc, cycle)
+	}
+}
+func (h *hookObserver) Select(cycle uint64, slot int, pc int64, _ isa.Instruction, _ isa.UnitClass, _ int, _ uint64) {
+	if h.sel != nil {
+		h.sel(slot, pc, cycle)
+	}
+}
+func (*hookObserver) Complete(uint64, int, int64, isa.Instruction, isa.UnitClass, int) {}
+func (*hookObserver) Stall(uint64, int, int64, StallReason)                            {}
+func (*hookObserver) Redirect(uint64, int, int64)                                      {}
+func (*hookObserver) Bind(uint64, int, int, int64)                                     {}
+func (*hookObserver) Trap(uint64, int, int, int64)                                     {}
+func (*hookObserver) Rotate(uint64, []int)                                             {}
+func (*hookObserver) ThreadEnd(uint64, int, int, bool)                                 {}
+
 // TestObserveComposes checks that repeated Observe calls fan out instead of
 // replacing the previously attached observer.
 func TestObserveComposes(t *testing.T) {

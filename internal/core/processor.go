@@ -299,12 +299,6 @@ type Processor struct {
 	started   bool
 	lastEvent uint64 // cycle of the latest architectural activity
 
-	// OnIssue, when set, observes every instruction leaving a decode unit:
-	// (slot, pc, cycle). Used by timing tests and the trace tool.
-	OnIssue func(slot int, pc int64, cycle uint64)
-	// OnSelect observes every selection by an instruction schedule unit.
-	OnSelect func(slot int, pc int64, cycle uint64)
-
 	observer Observer // optional rich event sink (see Observe)
 
 	// Host-side self-observability (hostprobe.go). hostProbe is the
@@ -724,11 +718,12 @@ func (p *Processor) rotatePriorities() {
 	if p.explicit {
 		return
 	}
-	p.rotateOnce()
+	p.rotateOnce(p.cycle)
 }
 
-// rotateOnce moves the highest-priority slot to the lowest position.
-func (p *Processor) rotateOnce() {
+// rotateOnce moves the highest-priority slot to the lowest position and
+// reports the rotation as happening at cycle.
+func (p *Processor) rotateOnce(cycle uint64) {
 	if len(p.prio) < 2 {
 		return
 	}
@@ -740,7 +735,7 @@ func (p *Processor) rotateOnce() {
 		p.prioIdx[id] = uint8(r)
 	}
 	if p.observer != nil {
-		p.observer.Rotate(p.cycle, p.prio)
+		p.observer.Rotate(cycle, p.prio)
 	}
 }
 

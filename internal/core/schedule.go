@@ -117,9 +117,6 @@ func (p *Processor) selectInstr(u *funcUnit, inf *inflight) {
 	p.completions[idx] = append(p.completions[idx], inf.slot)
 	p.pushEv(ready)
 	p.touch(ready)
-	if p.OnSelect != nil {
-		p.OnSelect(inf.slot, inf.pc, p.cycle)
-	}
 	if p.observer != nil {
 		p.observer.Select(p.cycle, inf.slot, inf.pc, inf.ins, u.class, u.index, ready)
 		if p.compDetail != nil {

@@ -12,31 +12,27 @@ import "math/bits"
 // per-cycle stall statistics only accrue on running slots, so a stretch
 // with runningSlots == 0 is observationally identical whether stepped or
 // skipped, provided priority rotation is fast-forwarded the same number of
-// boundaries.
+// boundaries. The same holds for the Observer stream: completions, binds,
+// wakes and standby selections are all events the horizon stops at, so
+// the only events a quiescent stretch can produce are the implicit
+// rotations, which fastForwardRotation reports. Observed runs therefore
+// skip exactly as bare runs do; Config.DisableCycleSkip is the stepping
+// reference the skip differentials compare against.
 //
 // The jump is the degenerate case of the event-driven core's pending-event
 // set (event.go): with the per-cycle dirty sets empty, the horizon is
 // simply the earliest pending event, folded with the frame wake heap.
 
-// skipEnabled reports whether quiescent-cycle fast-forwarding is safe.
-// Observers and the OnIssue/OnSelect hooks may watch per-cycle activity
-// (e.g. rotation events), so their presence pins the machine to
-// cycle-by-cycle stepping, as does Config.DisableCycleSkip (the
-// differential-test reference path).
-func (p *Processor) skipEnabled() bool {
-	return !p.cfg.DisableCycleSkip && p.observer == nil && p.OnIssue == nil && p.OnSelect == nil
-}
-
 // advanceCycle moves the machine to the next simulated cycle, jumping over
-// provably quiescent stretches. A HostProbe does not disable skipping (it
-// observes the simulator, not the machine): jumps are reported through
-// SkipJump, and on sampled steps the horizon machinery is charged to
-// HostPhaseSkip — but only when it actually arms. A step that advances
-// normally never reports the event-horizon phase, so phase profiles
-// separate "cycle simulated" from "cycle jumped by event horizon".
+// provably quiescent stretches unless Config.DisableCycleSkip is set. A
+// HostProbe sees each jump through SkipJump, and on sampled steps the
+// horizon machinery is charged to HostPhaseSkip — but only when it
+// actually arms. A step that advances normally never reports the
+// event-horizon phase, so phase profiles separate "cycle simulated" from
+// "cycle jumped by event horizon".
 func (p *Processor) advanceCycle() {
 	next := p.cycle + 1
-	if p.runningSlots > 0 || !p.skipEnabled() {
+	if p.runningSlots > 0 || p.cfg.DisableCycleSkip {
 		// Normal step: retire pending events up to the cycle being entered
 		// (each push is popped exactly once, keeping the heap bounded).
 		p.drainEv(next)
@@ -127,19 +123,28 @@ func (p *Processor) quiescentHorizon() uint64 {
 // exactly as stepping would. A boundary landing on t itself stays pending
 // for rotatePriorities at cycle t. Boundaries are consumed even in
 // explicit-rotation mode (matching rotatePriorities); rotations only apply
-// in implicit mode, reduced modulo the priority-list length since rotation
-// is cyclic.
+// in implicit mode. Each applied rotation is reported to the observer at
+// its boundary cycle, as stepping would report it. Rotation is cyclic, so
+// whole turns of the priority list change nothing a bare run can see: it
+// applies only the last k mod len(prio) boundaries.
 func (p *Processor) fastForwardRotation(t uint64) {
 	if p.nextRotation >= t {
 		return
 	}
 	interval := uint64(p.cfg.RotationInterval)
 	k := (t-1-p.nextRotation)/interval + 1
+	b := p.nextRotation
 	p.nextRotation += k * interval
 	if p.explicit || len(p.prio) < 2 {
 		return
 	}
-	for i := uint64(0); i < k%uint64(len(p.prio)); i++ {
-		p.rotateOnce()
+	if p.observer == nil {
+		turns := k - k%uint64(len(p.prio))
+		b += turns * interval
+		k -= turns
+	}
+	for ; k > 0; k-- {
+		p.rotateOnce(b)
+		b += interval
 	}
 }

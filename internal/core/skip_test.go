@@ -164,15 +164,33 @@ func TestSkipElidesQuiescentCycles(t *testing.T) {
 	}
 }
 
-// TestFastForwardRotation checks fastForwardRotation against the naive
-// boundary-by-boundary walk for a spread of targets, interval sizes and
-// priority-list lengths, in both rotation modes.
+// rotationLog is a test Observer that records every Rotate event as
+// (cycle, copy of the priority order).
+type rotationLog struct {
+	countingObserver
+	events []rotation
+}
+
+type rotation struct {
+	cycle uint64
+	prio  []int
+}
+
+func (r *rotationLog) Rotate(cycle uint64, prio []int) {
+	r.events = append(r.events, rotation{cycle, append([]int(nil), prio...)})
+}
+
+// TestFastForwardRotation checks fastForwardRotation against a naive
+// cycle-by-cycle walk of rotatePriorities for a spread of targets,
+// interval sizes and priority-list lengths, in both rotation modes: a bare
+// processor must end with the walk's priority order, and an observed one
+// must also report the walk's Rotate events, cycle for cycle.
 func TestFastForwardRotation(t *testing.T) {
 	prog := asm.MustAssemble("\thalt\n")
 	for _, explicit := range []bool{false, true} {
 		for _, slots := range []int{1, 2, 5, 8} {
 			for _, interval := range []int{1, 4, 8} {
-				mk := func() *Processor {
+				mk := func(o *rotationLog) *Processor {
 					p, err := New(Config{
 						ThreadSlots:      slots,
 						RotationInterval: interval,
@@ -181,27 +199,36 @@ func TestFastForwardRotation(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if o != nil {
+						p.Observe(o)
+					}
 					return p
 				}
-				fast, naive := mk(), mk()
-				// Walk through increasing targets, fast-forwarding one and
-				// consuming boundaries one at a time on the other.
+				fastLog, naiveLog := &rotationLog{}, &rotationLog{}
+				bare, observed, naive := mk(nil), mk(fastLog), mk(naiveLog)
+				// Walk through increasing targets, fast-forwarding two and
+				// stepping the third's rotation phase through every cycle.
 				for _, target := range []uint64{1, 3, 8, 9, 64, 65, 1000, 1001, 99999} {
-					fast.fastForwardRotation(target)
-					for naive.nextRotation < target {
-						naive.nextRotation += uint64(interval)
-						if !naive.explicit && len(naive.prio) > 1 {
-							naive.rotateOnce()
+					bare.fastForwardRotation(target)
+					observed.fastForwardRotation(target)
+					for ; naive.cycle < target; naive.cycle++ {
+						naive.rotatePriorities()
+					}
+					for _, fast := range []*Processor{bare, observed} {
+						if fast.nextRotation != naive.nextRotation {
+							t.Fatalf("explicit=%v slots=%d interval=%d target=%d: nextRotation %d, want %d",
+								explicit, slots, interval, target, fast.nextRotation, naive.nextRotation)
+						}
+						if !reflect.DeepEqual(fast.prio, naive.prio) {
+							t.Fatalf("explicit=%v slots=%d interval=%d target=%d: prio %v, want %v",
+								explicit, slots, interval, target, fast.prio, naive.prio)
 						}
 					}
-					if fast.nextRotation != naive.nextRotation {
-						t.Fatalf("explicit=%v slots=%d interval=%d target=%d: nextRotation %d, want %d",
-							explicit, slots, interval, target, fast.nextRotation, naive.nextRotation)
+					if !reflect.DeepEqual(fastLog.events, naiveLog.events) {
+						t.Fatalf("explicit=%v slots=%d interval=%d target=%d: %d Rotate events differ from the walk's %d",
+							explicit, slots, interval, target, len(fastLog.events), len(naiveLog.events))
 					}
-					if !reflect.DeepEqual(fast.prio, naive.prio) {
-						t.Fatalf("explicit=%v slots=%d interval=%d target=%d: prio %v, want %v",
-							explicit, slots, interval, target, fast.prio, naive.prio)
-					}
+					fastLog.events, naiveLog.events = nil, nil
 				}
 			}
 		}

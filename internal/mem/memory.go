@@ -35,6 +35,12 @@ type Memory struct {
 // built with a remote region but no explicit latency.
 const DefaultRemoteLatency = 100
 
+// MaxWords bounds a memory image built from a program: 2^27 words, the
+// reach of li/la, so every data word a label can name lies inside it. The
+// assembler rejects data placed beyond it, and asm's Program.NewMemory
+// refuses to allocate more.
+const MaxWords = 1 << 27
+
 // NewMemory allocates a zeroed memory of the given number of words.
 func NewMemory(words int) *Memory {
 	if words <= 0 {

@@ -308,13 +308,6 @@ var goldenGroups = []goldenGroup{
 		if err != nil {
 			t.Fatal(err)
 		}
-		mkMem := func() (*Memory, error) {
-			m := NewMemoryWithRemote(8192, 4096, 300)
-			for i := int64(4096); i < 8192; i++ {
-				m.SetInt(i, i%97)
-			}
-			return m, nil
-		}
 		var cases []goldenCase
 		for _, suppress := range []bool{false, true} {
 			name := "switching"
@@ -323,7 +316,7 @@ var goldenGroups = []goldenGroup{
 			}
 			cases = append(cases, goldenCase{name: name,
 				cfg:  MTConfig{ThreadSlots: 1, ContextFrames: 4, StandbyStations: true, ExplicitRotation: suppress},
-				text: prog.Text, mkMem: mkMem, startPCs: []int64{0, 0, 0, 0}})
+				text: prog.Text, mkMem: concurrentMTMem, startPCs: []int64{0, 0, 0, 0}})
 		}
 		return cases
 	}},
@@ -380,9 +373,8 @@ var goldenGroups = []goldenGroup{
 		}
 		return cases
 	}},
-	// An observed run: observers pin the machine to cycle-by-cycle
-	// stepping, so the metrics report covers the per-cycle paths, not just
-	// the quiescent jumps.
+	// An observed run: the metrics report digests the observer event
+	// stream, including the stalls the head-stall cache reports.
 	{"MetricsJSON", func(t *testing.T) []goldenCase {
 		rt, err := BuildRayTrace(RayTraceConfig{Rays: 12, Spheres: 4})
 		if err != nil {
