@@ -50,12 +50,15 @@ lint-bounds:
 	$(GO) run ./cmd/hirata-lint -bound examples/programs
 	$(GO) test -run 'TestWorkloadsDeadlockClean|TestBoundExamples|TestBoundWorkloads' .
 
-# Short fuzz sessions against the MinC compiler, the trace reader and the
-# assembler (CI runs seeds only).
+# Short fuzz sessions against the MinC compiler, the trace reader, the
+# assembler and the ledger reader (CI runs seeds only). Minimizing each new
+# multi-kilobyte ledger input for the default 60 s would stall FuzzOpen for
+# the whole session, so its minimization is capped.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime 30s ./internal/minc/
 	$(GO) test -run xxx -fuzz FuzzRead -fuzztime 30s ./internal/trace/
 	$(GO) test -run xxx -fuzz FuzzAssemble -fuzztime 30s ./internal/asm/
+	$(GO) test -run xxx -fuzz FuzzOpen -fuzztime 30s -fuzzminimizetime 5s ./internal/runledger/
 
 fmt:
 	gofmt -w .

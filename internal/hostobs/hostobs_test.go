@@ -11,6 +11,7 @@ import (
 	"hirata/internal/asm"
 	"hirata/internal/buildinfo"
 	"hirata/internal/core"
+	"hirata/internal/obs"
 	"hirata/internal/sweep"
 )
 
@@ -225,5 +226,20 @@ func TestWriteHostTraceValidJSON(t *testing.T) {
 	}
 	if !phases["issue-select"] {
 		t.Errorf("no issue-select phase slices in trace: %v", phases)
+	}
+
+	// An event whose args map is nil or empty omits "args" altogether.
+	var bare bytes.Buffer
+	tw := obs.NewTraceWriter(&bare)
+	tw.Slice(hostLoopPID, 0, "nil", hostLoopCat, 0, 0, nil)
+	tw.Instant(hostLoopPID, 0, "empty", 1, "t", map[string]any{})
+	tw.Counter(hostLoopPID, 0, "nil", 2, nil)
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"traceEvents":[{"name":"nil","cat":"hostloop","ph":"X","ts":0,"dur":1,"pid":1,"tid":0},` +
+		`{"name":"empty","ph":"i","ts":1,"pid":1,"tid":0,"s":"t"},{"name":"nil","ph":"C","ts":2,"pid":1,"tid":0}]}`
+	if bare.String() != want {
+		t.Errorf("args-free events:\n got %s\nwant %s", bare.String(), want)
 	}
 }

@@ -42,18 +42,27 @@ func (t *TraceWriter) Slice(pid, tid int, name, cat string, ts, dur uint64, args
 	if dur == 0 {
 		dur = 1
 	}
-	t.enc.event(traceEvent{Name: name, Cat: cat, Ph: "X", TS: ts, Dur: dur, Pid: pid, Tid: tid, Args: args})
+	t.enc.event(traceEvent{Name: name, Cat: cat, Ph: "X", TS: ts, Dur: dur, Pid: pid, Tid: tid, Args: argsOf(args)})
 }
 
 // Instant emits an instant ("i") event. Scope is "t" (thread), "p"
 // (process) or "g" (global).
 func (t *TraceWriter) Instant(pid, tid int, name string, ts uint64, scope string, args map[string]any) {
-	t.enc.event(traceEvent{Name: name, Ph: "i", TS: ts, Pid: pid, Tid: tid, S: scope, Args: args})
+	t.enc.event(traceEvent{Name: name, Ph: "i", TS: ts, Pid: pid, Tid: tid, S: scope, Args: argsOf(args)})
 }
 
 // Counter emits a counter ("C") sample; args maps series name to value.
 func (t *TraceWriter) Counter(pid, tid int, name string, ts uint64, args map[string]any) {
-	t.enc.event(traceEvent{Name: name, Ph: "C", TS: ts, Pid: pid, Tid: tid, Args: args})
+	t.enc.event(traceEvent{Name: name, Ph: "C", TS: ts, Pid: pid, Tid: tid, Args: argsOf(args)})
+}
+
+// argsOf boxes a caller's args, leaving a nil or empty map as a nil
+// interface so "args" stays omitted.
+func argsOf(args map[string]any) any {
+	if len(args) == 0 {
+		return nil
+	}
+	return args
 }
 
 // Close terminates the traceEvents array and flushes. The writer must not

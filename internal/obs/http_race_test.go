@@ -25,7 +25,23 @@ loop:	addi r2, r1, 7
 	halt
 `
 
+// TestHTTPEndpointsDuringLiveRun runs the loop (about 73k ring events)
+// with the default ring, which it never fills, and with a ring smaller
+// than the run and not a whole number of chunks, so the /trace.json and
+// /critpath.json readers also race chunk allocation and the wrap.
 func TestHTTPEndpointsDuringLiveRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"default-ring", Options{MetricsInterval: 64}},
+		{"wrapping-ring", Options{MetricsInterval: 64, RingCapacity: 3*ringChunk + 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { liveRunEndpoints(t, tc.opt) })
+	}
+}
+
+func liveRunEndpoints(t *testing.T, opt Options) {
 	prog, err := asm.Assemble(liveLoopSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +55,7 @@ func TestHTTPEndpointsDuringLiveRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCollector(cfg, Options{MetricsInterval: 64})
+	c := NewCollector(cfg, opt)
 	p.Observe(c)
 	if err := p.StartThread(0); err != nil {
 		t.Fatal(err)
@@ -92,6 +108,10 @@ func TestHTTPEndpointsDuringLiveRun(t *testing.T) {
 	}
 	if err := <-runDone; err != nil {
 		t.Fatal(err)
+	}
+
+	if opt.RingCapacity > 0 && c.Dropped() == 0 {
+		t.Errorf("a %d-event ring never wrapped: the run no longer outgrows it", opt.RingCapacity)
 	}
 
 	// After the run: the accounting must still be exact.

@@ -160,9 +160,7 @@ type Collector struct {
 	// unitOrd maps (class, index) to the ordinal in units.
 	unitOrd [int(isa.UnitLoadStore) + 1][]int
 
-	ring    []Event
-	head    int // next write position once the ring is full
-	full    bool
+	ring    eventRing
 	dropped uint64
 
 	totals    Totals
@@ -234,7 +232,8 @@ func NewCollector(cfg core.Config, opt Options) *Collector {
 	if slots <= 0 {
 		slots = 1
 	}
-	c := &Collector{opt: opt, slots: slots, profile: make(map[int64]*PCStat)}
+	c := &Collector{opt: opt, slots: slots, profile: make(map[int64]*PCStat),
+		ring: eventRing{capacity: opt.RingCapacity}}
 	for cls := isa.UnitClass(1); int(cls) <= isa.NumUnitClasses; cls++ {
 		n := cfg.UnitCount(cls)
 		for i := 0; i < n; i++ {
@@ -307,18 +306,10 @@ func (c *Collector) closeInterval(end uint64) {
 }
 
 // push records an event in the ring buffer. Call with c.mu held.
-func (c *Collector) push(e Event) {
-	if !c.full && len(c.ring) < c.opt.RingCapacity {
-		c.ring = append(c.ring, e)
-		if len(c.ring) == c.opt.RingCapacity {
-			c.full = true
-		}
-		return
+func (c *Collector) push(r record) {
+	if c.ring.push(r) {
+		c.dropped++
 	}
-	c.full = true
-	c.ring[c.head] = e
-	c.head = (c.head + 1) % len(c.ring)
-	c.dropped++
 }
 
 // pcStat returns (creating if needed) the profile row for pc. Call with
@@ -350,7 +341,7 @@ func (c *Collector) Issue(cycle uint64, slot int, pc int64, ins isa.Instruction)
 	st := c.pcStat(pc)
 	st.Ins = ins
 	st.Issues++
-	c.push(Event{Kind: KindIssue, Cycle: cycle, Slot: int16(slot), PC: pc, Ins: ins})
+	c.push(record{kind: KindIssue, cycle: cycle, slot: int8(slot), word: pc, ins: ins})
 	c.mu.Unlock()
 }
 
@@ -372,8 +363,8 @@ func (c *Collector) Select(cycle uint64, slot int, pc int64, ins isa.Instruction
 	if readyAt > cycle {
 		st.LatencyCycles += readyAt - cycle
 	}
-	c.push(Event{Kind: KindSelect, Cycle: cycle, Slot: int16(slot), PC: pc, Ins: ins,
-		Unit: unit, UnitIndex: uint8(unitIndex), ReadyAt: readyAt})
+	c.push(record{kind: KindSelect, cycle: cycle, slot: int8(slot), word: pc, ins: ins,
+		unit: unit, index: uint8(unitIndex), aux: uint32(readyAt - cycle)})
 	c.mu.Unlock()
 }
 
@@ -383,8 +374,8 @@ func (c *Collector) Complete(cycle uint64, slot int, pc int64, ins isa.Instructi
 	c.advance(cycle)
 	c.totals.Completes++
 	c.pcStat(pc).Completes++
-	c.push(Event{Kind: KindComplete, Cycle: cycle, Slot: int16(slot), PC: pc, Ins: ins,
-		Unit: unit, UnitIndex: uint8(unitIndex)})
+	c.push(record{kind: KindComplete, cycle: cycle, slot: int8(slot), word: pc, ins: ins,
+		unit: unit, index: uint8(unitIndex)})
 	c.mu.Unlock()
 }
 
@@ -407,7 +398,7 @@ func (c *Collector) Stall(cycle uint64, slot int, pc int64, reason core.StallRea
 		c.pcStat(pc).StallCycles++
 	}
 	if c.opt.KeepStallEvents {
-		c.push(Event{Kind: KindStall, Cycle: cycle, Slot: int16(slot), PC: pc, Reason: reason})
+		c.push(record{kind: KindStall, cycle: cycle, slot: int8(slot), word: pc, index: uint8(reason)})
 	}
 	c.mu.Unlock()
 }
@@ -416,7 +407,7 @@ func (c *Collector) Stall(cycle uint64, slot int, pc int64, reason core.StallRea
 func (c *Collector) Redirect(cycle uint64, slot int, pc int64) {
 	c.mu.Lock()
 	c.advance(cycle)
-	c.push(Event{Kind: KindRedirect, Cycle: cycle, Slot: int16(slot), PC: pc})
+	c.push(record{kind: KindRedirect, cycle: cycle, slot: int8(slot), word: pc})
 	c.mu.Unlock()
 }
 
@@ -432,7 +423,7 @@ func (c *Collector) Bind(cycle uint64, slot, frame int, tid int64) {
 		a.closeGap(cycle)
 		a.bound = true
 	}
-	c.push(Event{Kind: KindBind, Cycle: cycle, Slot: int16(slot), Frame: int16(frame), Aux: tid, PC: -1})
+	c.push(record{kind: KindBind, cycle: cycle, slot: int8(slot), aux: uint32(frame), word: tid})
 	c.mu.Unlock()
 }
 
@@ -446,7 +437,7 @@ func (c *Collector) Trap(cycle uint64, slot, frame int, addr int64) {
 	if slot >= 0 && slot < len(c.acct) && c.acct[slot].bound {
 		c.acct[slot].unbind(cycle, true)
 	}
-	c.push(Event{Kind: KindTrap, Cycle: cycle, Slot: int16(slot), Frame: int16(frame), Aux: addr, PC: -1})
+	c.push(record{kind: KindTrap, cycle: cycle, slot: int8(slot), aux: uint32(frame), word: addr})
 	c.mu.Unlock()
 }
 
@@ -458,7 +449,7 @@ func (c *Collector) Rotate(cycle uint64, prio []int) {
 	}
 	c.mu.Lock()
 	c.advance(cycle)
-	c.push(Event{Kind: KindRotate, Cycle: cycle, Slot: -1, Aux: int64(head), PC: -1})
+	c.push(record{kind: KindRotate, cycle: cycle, slot: -1, word: int64(head)})
 	c.mu.Unlock()
 }
 
@@ -472,7 +463,11 @@ func (c *Collector) ThreadEnd(cycle uint64, slot, frame int, killed bool) {
 	if slot >= 0 && slot < len(c.acct) && c.acct[slot].bound {
 		c.acct[slot].unbind(cycle, false)
 	}
-	c.push(Event{Kind: KindThreadEnd, Cycle: cycle, Slot: int16(slot), Frame: int16(frame), Killed: killed, PC: -1})
+	var k uint8
+	if killed {
+		k = 1
+	}
+	c.push(record{kind: KindThreadEnd, cycle: cycle, slot: int8(slot), aux: uint32(frame), index: k, word: -1})
 	c.mu.Unlock()
 }
 
@@ -524,16 +519,7 @@ func (c *Collector) Events() []Event {
 	return c.eventsLocked()
 }
 
-func (c *Collector) eventsLocked() []Event {
-	out := make([]Event, 0, len(c.ring))
-	if c.full {
-		out = append(out, c.ring[c.head:]...)
-		out = append(out, c.ring[:c.head]...)
-	} else {
-		out = append(out, c.ring...)
-	}
-	return out
-}
+func (c *Collector) eventsLocked() []Event { return c.ring.events() }
 
 // Samples returns a copy of the closed metrics intervals.
 func (c *Collector) Samples() []Sample {

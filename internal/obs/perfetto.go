@@ -39,18 +39,34 @@ const (
 )
 
 // traceEvent is one Chrome Trace Event. Field order is fixed, so the
-// output is byte-stable for golden tests.
+// output is byte-stable for golden tests. Args is nil (omitted), a
+// non-empty map[string]any, or one of the arg structs below.
 type traceEvent struct {
-	Name string         `json:"name,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   uint64         `json:"ts"`
-	Dur  uint64         `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string `json:"name,omitempty"`
+	Cat  string `json:"cat,omitempty"`
+	Ph   string `json:"ph"`
+	TS   uint64 `json:"ts"`
+	Dur  uint64 `json:"dur,omitempty"`
+	Pid  int    `json:"pid"`
+	Tid  int    `json:"tid"`
+	S    string `json:"s,omitempty"`
+	Args any    `json:"args,omitempty"`
 }
+
+// Typed args for the slices drawn per ring event. encoding/json writes a
+// map's keys sorted, so each struct lists its fields in sorted key order to
+// emit the bytes the equivalent map would.
+type (
+	unitSliceArgs struct {
+		PC      int64  `json:"pc"`
+		ReadyAt uint64 `json:"ready_at"`
+		Slot    int16  `json:"slot"`
+	}
+	slotSpanArgs struct {
+		PC   int64  `json:"pc"`
+		Unit string `json:"unit,omitempty"`
+	}
+)
 
 // slotSpan is one instruction lifetime on a slot track.
 type slotSpan struct {
@@ -118,21 +134,18 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		}
 		enc.event(traceEvent{Name: e.Ins.String(), Cat: instrumentCat, Ph: "X",
 			TS: e.Cycle, Dur: dur, Pid: unitsPID, Tid: ord,
-			Args: map[string]any{"pc": e.PC, "slot": e.Slot, "ready_at": e.ReadyAt}})
+			Args: unitSliceArgs{PC: e.PC, ReadyAt: e.ReadyAt, Slot: e.Slot}})
 	}
 
 	// Slot instruction-lifetime slices.
 	for _, sp := range spans {
-		args := map[string]any{"pc": sp.pc}
-		if sp.unit != "" {
-			args["unit"] = sp.unit
-		}
 		dur := sp.end - sp.start
 		if dur == 0 {
 			dur = 1
 		}
 		enc.event(traceEvent{Name: sp.name, Cat: instrumentCat, Ph: "X",
-			TS: sp.start, Dur: dur, Pid: slotPIDBase + sp.slotID, Tid: sp.lane, Args: args})
+			TS: sp.start, Dur: dur, Pid: slotPIDBase + sp.slotID, Tid: sp.lane,
+			Args: slotSpanArgs{PC: sp.pc, Unit: sp.unit}})
 	}
 
 	// Instant events: redirects, traps, binds, thread ends, rotations.
@@ -163,9 +176,15 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 func buildSlotSpans(events []Event) ([]slotSpan, []traceEvent) {
 	var spans []slotSpan
 	var instants []traceEvent
-	// pending[slot] holds indexes into spans of issued-but-unselected
-	// instructions, FIFO per pc.
-	pending := map[int][]int{}
+	// pending holds indexes into spans of issued-but-unselected
+	// instructions, FIFO per (slot, pc): a Select commits the oldest one
+	// with its pc, and the spans of instructions that never select sit in
+	// queues no Select reads.
+	type slotPC struct {
+		slot int16
+		pc   int64
+	}
+	pending := map[slotPC][]int{}
 	for _, e := range events {
 		switch e.Kind {
 		case KindIssue:
@@ -173,20 +192,19 @@ func buildSlotSpans(events []Event) ([]slotSpan, []traceEvent) {
 				start: e.Cycle, end: e.Cycle + 1,
 				name: e.Ins.String(), pc: e.PC, slotID: int(e.Slot),
 			})
-			pending[int(e.Slot)] = append(pending[int(e.Slot)], len(spans)-1)
+			k := slotPC{e.Slot, e.PC}
+			pending[k] = append(pending[k], len(spans)-1)
 		case KindSelect:
-			q := pending[int(e.Slot)]
-			for i, idx := range q {
-				if spans[idx].pc == e.PC {
-					end := e.ReadyAt
-					if end <= spans[idx].start {
-						end = spans[idx].start + 1
-					}
-					spans[idx].end = end
-					spans[idx].unit = unitName(e.Unit, int(e.UnitIndex))
-					pending[int(e.Slot)] = append(q[:i], q[i+1:]...)
-					break
+			k := slotPC{e.Slot, e.PC}
+			if q := pending[k]; len(q) > 0 {
+				idx := q[0]
+				end := e.ReadyAt
+				if end <= spans[idx].start {
+					end = spans[idx].start + 1
 				}
+				spans[idx].end = end
+				spans[idx].unit = unitName(e.Unit, int(e.UnitIndex))
+				pending[k] = q[1:]
 			}
 		case KindRedirect:
 			instants = append(instants, traceEvent{Name: fmt.Sprintf("redirect→%d", e.PC), Ph: "i",
