@@ -24,10 +24,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"hirata"
+	"hirata/cmd/internal/simcli"
 )
 
 func main() {
@@ -105,20 +105,15 @@ func main() {
 		}
 		return
 	}
+	// The representative run's reports go to stderr, keeping stdout for
+	// the tables and -json.
 	if *chromeTrace != "" || *httpAddr != "" || *cpiFolded != "" || *critPathJSON != "" || *whatIf != "" {
-		shutdown, err := recordRepresentative(rt, representativeOutputs{
-			tracePath:    *chromeTrace,
-			httpAddr:     *httpAddr,
-			cpiFolded:    *cpiFolded,
-			critPathJSON: *critPathJSON,
-			whatIf:       *whatIf,
-		})
-		if err != nil {
+		out := simcli.Outputs{Cmd: "hirata-bench", Stdout: os.Stderr, Stderr: os.Stderr,
+			ChromeTrace: *chromeTrace, HTTP: *httpAddr, CPIFolded: *cpiFolded, CritPathJSON: *critPathJSON, WhatIf: *whatIf}
+		defer out.Close()
+		if err := recordRepresentative(rt, &out); err != nil {
 			fmt.Fprintln(os.Stderr, "hirata-bench:", err)
 			os.Exit(1)
-		}
-		if shutdown != nil {
-			defer func() { _ = shutdown() }()
 		}
 	}
 	if *asJSON {
@@ -303,85 +298,31 @@ func main() {
 	}
 }
 
-// representativeOutputs selects the artifacts of the representative run.
-type representativeOutputs struct {
-	tracePath    string // Perfetto timeline JSON
-	httpAddr     string // live observability server
-	cpiFolded    string // folded CPI stacks (flamegraph.pl input)
-	critPathJSON string // critical-path analysis JSON
-	whatIf       string // comma-separated what-if scenario list
-}
-
 // recordRepresentative runs the parallel ray tracer on the paper's 8-slot
 // machine with a collector attached — the same configuration Table 2
 // measures — and writes whichever artifacts out selects: the Perfetto
 // timeline, folded CPI stacks, the critical-path JSON, bounded what-if
-// estimates, and/or a live HTTP server. The returned shutdown stops the
-// HTTP server; it is nil when httpAddr is empty.
-func recordRepresentative(rt hirata.RayTraceConfig, out representativeOutputs) (func() error, error) {
+// estimates, and/or a live HTTP server. The collector samples 256-cycle
+// intervals for the timeline's counter tracks. The caller closes out,
+// which stops the HTTP server.
+func recordRepresentative(rt hirata.RayTraceConfig, out *simcli.Outputs) error {
 	w, err := hirata.BuildRayTrace(rt)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cfg := hirata.MTConfig{ThreadSlots: 8, LoadStoreUnits: 2, StandbyStations: true}
 	m, err := w.NewMemory(w.Par, cfg.ThreadSlots)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	col := hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: 256})
-	var shutdown func() error
-	if out.httpAddr != "" {
-		bound, stop, err := hirata.ServeObservability(out.httpAddr, col, w.Par)
-		if err != nil {
-			return nil, err
-		}
-		shutdown = stop
-		fmt.Fprintf(os.Stderr, "hirata-bench: serving observability at http://%s\n", bound)
-	}
-	res, err := hirata.Run(cfg, w.Par.Text, m, hirata.RunOptions{Observers: []hirata.Observer{col}})
+	opt, err := out.Start(cfg, w.Par, hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: 256}))
 	if err != nil {
-		return shutdown, err
+		return err
+	}
+	res, err := hirata.Run(cfg, w.Par.Text, m, opt)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "hirata-bench: recorded 8-slot ray trace: %d cycles, ipc %.3f\n", res.Cycles, res.IPC())
-	writeFile := func(path string, write func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			return err
-		}
-		return f.Close()
-	}
-	if out.tracePath != "" {
-		if err := writeFile(out.tracePath, col.WriteChromeTrace); err != nil {
-			return shutdown, err
-		}
-		fmt.Fprintf(os.Stderr, "hirata-bench: wrote %s (load in ui.perfetto.dev)\n", out.tracePath)
-	}
-	if out.cpiFolded != "" {
-		if err := writeFile(out.cpiFolded, col.CPIStack().WriteCPIFolded); err != nil {
-			return shutdown, err
-		}
-		fmt.Fprintf(os.Stderr, "hirata-bench: wrote %s (feed to flamegraph.pl or speedscope)\n", out.cpiFolded)
-	}
-	if out.critPathJSON != "" {
-		cp, err := col.CritPath()
-		if err != nil {
-			return shutdown, err
-		}
-		cp.Annotate(w.Par)
-		if err := writeFile(out.critPathJSON, cp.WriteJSON); err != nil {
-			return shutdown, err
-		}
-		fmt.Fprintf(os.Stderr, "hirata-bench: wrote %s\n", out.critPathJSON)
-	}
-	if out.whatIf != "" {
-		ests, err := col.WhatIfAll(out.whatIf)
-		if err != nil {
-			return shutdown, err
-		}
-		fmt.Fprint(os.Stderr, hirata.FormatWhatIfEstimates(ests))
-	}
-	return shutdown, nil
+	return out.Finish()
 }

@@ -7,6 +7,7 @@ import (
 	"os/signal"
 
 	"hirata"
+	"hirata/cmd/internal/simcli"
 )
 
 // selfProfileOutputs selects the artifacts of a -self-profile run.
@@ -42,8 +43,8 @@ func runSelfProfile(w io.Writer, rt hirata.RayTraceConfig, out selfProfileOutput
 	opt := hirata.RunOptions{Host: prof}
 	if out.httpAddr != "" {
 		col := hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: 256})
-		bound, stop, serr := hirata.ServeObservabilityWithHost(out.httpAddr, col, wl.Par,
-			hirata.HostExport{Prof: prof, Sweep: rec})
+		bound, stop, serr := hirata.ServeObservability(out.httpAddr, col, wl.Par,
+			hirata.HostExport{Prof: prof, Sweep: rec}, nil)
 		if serr != nil {
 			return serr
 		}
@@ -66,18 +67,8 @@ func runSelfProfile(w io.Writer, rt hirata.RayTraceConfig, out selfProfileOutput
 
 	fmt.Fprintln(w, prof.Profile().Format())
 
-	writeFile := func(path string, write func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			return err
-		}
-		return f.Close()
-	}
 	if out.tracePath != "" {
-		if err := writeFile(out.tracePath, func(f io.Writer) error {
+		if err := simcli.WriteFile(out.tracePath, func(f io.Writer) error {
 			return hirata.WriteHostTrace(f, prof, rec)
 		}); err != nil {
 			return err
@@ -85,7 +76,7 @@ func runSelfProfile(w io.Writer, rt hirata.RayTraceConfig, out selfProfileOutput
 		fmt.Fprintf(os.Stderr, "hirata-bench: wrote %s (load in ui.perfetto.dev)\n", out.tracePath)
 	}
 	if out.jsonPath != "" {
-		if err := writeFile(out.jsonPath, prof.WriteJSON); err != nil {
+		if err := simcli.WriteFile(out.jsonPath, prof.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "hirata-bench: wrote %s\n", out.jsonPath)

@@ -6,7 +6,8 @@
 //
 //	hirata-report record -ledger runs.ledger [flags] [program.s]
 //	    simulate and append one fully decorated record (exact CPI stack +
-//	    static bounds). Without a program operand the standard ray-trace
+//	    static bounds). The machine flags are hirata-sim's, with its
+//	    defaults. Without a program operand the standard ray-trace
 //	    workload is run.
 //
 //	hirata-report ls -ledger runs.ledger
@@ -22,10 +23,9 @@
 //	    the two most recent records are compared.
 //
 //	hirata-report regress -ledger runs.ledger
-//	hirata-report regress -history BENCH_history.jsonl
-//	    walk a ledger lineage (tag, else run key) or a benchdiff history
-//	    file and flag cycle-count / throughput shifts with attribution.
-//	    Exits nonzero when shifts are found, for CI gating.
+//	    walk each ledger lineage (tag, else run key) and flag cycle-count
+//	    shifts with attribution. Exits nonzero when shifts are found, for
+//	    CI gating.
 package main
 
 import (
@@ -35,6 +35,7 @@ import (
 	"strings"
 
 	"hirata"
+	"hirata/cmd/internal/simcli"
 	"hirata/internal/runledger"
 )
 
@@ -80,7 +81,7 @@ commands:
   ls       list a ledger's records
   show     print one record as JSON
   diff     exact cycle-delta attribution between two records
-  regress  flag shifts along a ledger lineage or bench history
+  regress  flag cycle-count shifts along ledger lineages
 
 run "hirata-report <command> -h" for command flags.`)
 }
@@ -92,15 +93,11 @@ run "hirata-report <command> -h" for command flags.`)
 // resulting record diffs at full precision.
 func cmdRecord(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
+	var mach simcli.Machine
+	mach.Register(fs)
 	var (
 		ledgerPath = fs.String("ledger", "", "ledger file to append to (required)")
 		tag        = fs.String("tag", "", "lineage tag stored in the record")
-		slots      = fs.Int("slots", 8, "thread slots")
-		ls         = fs.Int("ls", 1, "load/store units")
-		standby    = fs.Bool("standby", true, "standby stations")
-		width      = fs.Int("width", 1, "superscalar issue width per slot")
-		rotation   = fs.Int("rotation", 8, "priority rotation interval in cycles")
-		frames     = fs.Int("frames", 0, "context frames (0 = one per slot)")
 		threads    = fs.Int("threads", 1, "threads started at pc 0 (program operand only)")
 		rays       = fs.Int("rays", 24, "rays in the default ray-trace workload")
 		spheres    = fs.Int("spheres", 4, "spheres in the default ray-trace scene")
@@ -112,19 +109,12 @@ func cmdRecord(args []string) error {
 	if *ledgerPath == "" {
 		return fmt.Errorf("record: -ledger is required")
 	}
-	if *threads < 0 {
-		return fmt.Errorf("record: -threads must not be negative, got %d", *threads)
+	if err := simcli.NonNegative("threads", *threads); err != nil {
+		return fmt.Errorf("record: %w", err)
 	}
-	if *slots < 0 {
-		return fmt.Errorf("record: -slots must not be negative, got %d", *slots)
-	}
-	cfg := hirata.MTConfig{
-		ThreadSlots:      *slots,
-		LoadStoreUnits:   *ls,
-		StandbyStations:  *standby,
-		IssueWidth:       *width,
-		RotationInterval: *rotation,
-		ContextFrames:    *frames,
+	cfg, err := mach.Config()
+	if err != nil {
+		return fmt.Errorf("record: %w", err)
 	}
 
 	var (
@@ -144,20 +134,8 @@ func cmdRecord(args []string) error {
 		}
 		text = rt.Par.Text
 	case 1:
-		src, err := os.ReadFile(fs.Arg(0))
-		if err != nil {
-			return err
-		}
 		var prog *hirata.Program
-		if strings.HasSuffix(fs.Arg(0), ".mc") {
-			prog, err = hirata.CompileMinC(string(src))
-		} else {
-			prog, err = hirata.Assemble(string(src))
-		}
-		if err != nil {
-			return err
-		}
-		m, err = prog.NewMemory(int64(*headroom))
+		prog, m, err = simcli.Load(fs.Arg(0), int64(*headroom))
 		if err != nil {
 			return err
 		}
@@ -304,45 +282,23 @@ func cmdDiff(args []string) error {
 func cmdRegress(args []string) error {
 	fs := flag.NewFlagSet("regress", flag.ExitOnError)
 	var (
-		ledgerPath  = fs.String("ledger", "", "walk this ledger's lineages (tag, else run key)")
-		historyPath = fs.String("history", "", "walk this benchdiff BENCH_history.jsonl instead")
-		tolerance   = fs.Float64("tolerance", 0.0, "relative cycle-count change to ignore on ledger lineages (0 = flag any change)")
-		window      = fs.Int("window", 5, "trailing-window size for -history")
-		minRel      = fs.Float64("min-rel", 0.05, "relative change floor for -history shifts")
+		ledgerPath = fs.String("ledger", "", "walk this ledger's lineages (tag, else run key; required)")
+		tolerance  = fs.Float64("tolerance", 0.0, "relative cycle-count change to ignore (0 = flag any change)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch {
-	case *ledgerPath != "" && *historyPath != "":
-		return fmt.Errorf("regress: -ledger and -history are mutually exclusive")
-	case *ledgerPath != "":
-		led, err := openExisting(*ledgerPath)
-		if err != nil {
-			return err
-		}
-		shifts := runledger.Regress(led.Entries(), *tolerance)
-		if len(shifts) == 0 {
-			fmt.Println("no shifts: every lineage is cycle-stable")
-			return nil
-		}
-		runledger.WriteShifts(os.Stdout, shifts)
-		return fmt.Errorf("%s", runledger.FormatShiftSummary(shifts))
-	case *historyPath != "":
-		rows, err := runledger.ReadHistory(*historyPath)
-		if err != nil {
-			return err
-		}
-		shifts := runledger.RegressHistory(rows, runledger.HistoryOptions{Window: *window, MinRel: *minRel})
-		if len(shifts) == 0 {
-			fmt.Printf("no shifts across %d history rows\n", len(rows))
-			return nil
-		}
-		runledger.WriteHistoryShifts(os.Stdout, shifts)
-		return fmt.Errorf("%d history shift(s) flagged", len(shifts))
-	default:
-		return fmt.Errorf("regress: one of -ledger or -history is required")
+	led, err := openExisting(*ledgerPath)
+	if err != nil {
+		return err
 	}
+	shifts := runledger.Regress(led.Entries(), *tolerance)
+	if len(shifts) == 0 {
+		fmt.Println("no shifts: every lineage is cycle-stable")
+		return nil
+	}
+	runledger.WriteShifts(os.Stdout, shifts)
+	return fmt.Errorf("%s", runledger.FormatShiftSummary(shifts))
 }
 
 // openExisting opens a ledger for inspection, refusing a missing file (an

@@ -51,11 +51,16 @@ func TestRecordNegativeThreadsFlag(t *testing.T) {
 	}
 }
 
+// TestRecordProgram records a program run with both optional sections.
+// Its run key is the one hirata-sim -record gives for the same flags.
 func TestRecordProgram(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "x.ledger")
 	stdout, stderr, code := runReport(t, "record", "-ledger", ledger, "-slots", "2", "-threads", "2", "../../examples/programs/fib.s")
 	if code != 0 || !strings.HasPrefix(stdout, "recorded ") {
 		t.Fatalf("exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, "(key fa1043199d6e,") {
+		t.Errorf("stdout %q, want run key fa1043199d6e", stdout)
 	}
 	stdout, stderr, code = runReport(t, "ls", "-ledger", ledger)
 	if code != 0 || !strings.Contains(stdout, "exact-cpi") || !strings.Contains(stdout, "bounds") {
@@ -80,11 +85,15 @@ func TestRecordZeroSlotsRunsOneSlot(t *testing.T) {
 	}
 }
 
-// TestRecordBadSizesAreErrors: a negative -slots and an oversized
+// TestRecordBadSizesAreErrors: a negative machine flag and an oversized
 // -headroom each give one error line and leave the ledger untouched.
 func TestRecordBadSizesAreErrors(t *testing.T) {
 	for _, tc := range []struct{ flag, value, want string }{
 		{"-slots", "-1", "-slots"},
+		{"-ls", "-1", "-ls"},
+		{"-width", "-1", "-width"},
+		{"-rotation", "-1", "-rotation"},
+		{"-frames", "-1", "-frames"},
 		{"-headroom", "9000000000000000", "headroom"},
 	} {
 		ledger := filepath.Join(t.TempDir(), "x.ledger")

@@ -1,357 +1,259 @@
-// Command hirata-sim assembles and runs a program on one of the three
-// machine models: the multithreaded processor (mt), the baseline
+// Command hirata-sim runs one simulation: a program on one of the three
+// machine models — the multithreaded processor (mt), the baseline
 // superpipelined RISC (risc), or the untimed functional interpreter
-// (interp).
+// (interp) — or a recorded trace replayed on the multithreaded processor,
+// the trace-driven method of the paper's §3.
 //
 // Usage:
 //
-//	hirata-sim [flags] program.s      (or program.mc for MinC source)
+//	hirata-sim [flags] program.s|program.mc|prog.trace
 //
 //	hirata-sim -machine mt -slots 4 -ls 2 -standby prog.s
 //	hirata-sim -machine risc prog.s
 //	hirata-sim -machine interp -dump-mem 100:110 prog.s
+//	hirata-sim -slots 8 -dump-mem iters:iters+16 kernel.mc
+//	hirata-sim -slots 4 -ls 2 -copies 4 prog.trace
 //
-// Observability (mt only; see docs/OBSERVABILITY.md):
+// A trace is replayed as -copies copies, one per slot by default; the
+// replay prints a banner line and the full statistics.
 //
-//	hirata-sim -chrome-trace out.json prog.s   Perfetto timeline → out.json
-//	hirata-sim -profile prog.s                 per-PC hotspot report
-//	hirata-sim -metrics-interval 100 prog.s    interval metrics table
-//	hirata-sim -http :8080 prog.s              live /metrics, /trace.json, pprof
-//	hirata-sim -cpi-stack prog.s               per-slot CPI-stack accounting
-//	hirata-sim -cpi-folded out.folded prog.s   folded stacks for flamegraph.pl
-//	hirata-sim -critpath prog.s                dynamic critical path + breakdown
-//	hirata-sim -whatif "+1 alu,+1 slot" prog.s bounded what-if estimates
-//	hirata-sim -record runs.ledger prog.s      append the run to a content-
-//	                                           addressed ledger (hirata-report)
-//	hirata-sim -static-check prog.s            verify first (refuse on provable
-//	                                           deadlocks), then print the static
-//	                                           cycle bound next to the measured run
+// On the multithreaded machine, -chrome-trace, -profile, -metrics-interval,
+// -http, -cpi-stack, -cpi-folded, -critpath, -critpath-json and -whatif
+// observe the run, -self-profile profiles the simulator itself, -record
+// appends the run to a ledger for hirata-report, and -static-check
+// verifies the program first (docs/OBSERVABILITY.md, docs/LINT.md).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
 
 	"hirata"
+	"hirata/cmd/internal/simcli"
 )
 
 func main() {
-	var (
-		machine   = flag.String("machine", "mt", "machine model: mt, risc, or interp")
-		slots     = flag.Int("slots", 1, "thread slots (mt)")
-		ls        = flag.Int("ls", 1, "load/store units")
-		standby   = flag.Bool("standby", true, "standby stations (mt)")
-		width     = flag.Int("width", 1, "superscalar issue width per slot (mt)")
-		rotation  = flag.Int("rotation", 8, "priority rotation interval in cycles (mt)")
-		explicit  = flag.Bool("explicit", false, "start in explicit-rotation mode (mt)")
-		frames    = flag.Int("frames", 0, "context frames (mt; 0 = one per slot)")
-		threads   = flag.Int("threads", 1, "threads started at pc 0 (mt)")
-		headroom  = flag.Int("headroom", 4096, "extra data-memory words beyond the data image")
-		dumpMem   = flag.String("dump-mem", "", "memory range to print after the run, e.g. 100:110")
-		pipeline  = flag.Bool("pipeline", false, "print a cycle-by-cycle pipeline event trace (mt)")
-		statCheck = flag.Bool("static-check", false, "verify before running: refuse on statically provable deadlocks (L015..L017), warn on other findings, and print the static cycle bound next to the measured result (mt)")
-		verbose   = flag.Bool("v", false, "print full statistics")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		chromeTrace  = flag.String("chrome-trace", "", "write a Chrome Trace Event JSON timeline to this file (mt; load in ui.perfetto.dev)")
-		profileOut   = flag.Bool("profile", false, "print a per-PC hotspot report after the run (mt)")
-		metricsEvery = flag.Int("metrics-interval", 0, "sample interval metrics every N cycles and print the time series (mt)")
-		httpAddr     = flag.String("http", "", "serve live /metrics, /metrics.json, /trace.json, /profile and pprof on this address during the run (mt)")
-		cpiStack     = flag.Bool("cpi-stack", false, "print the per-slot CPI-stack cycle-accounting table (mt)")
-		cpiFolded    = flag.String("cpi-folded", "", "write the CPI stack in collapsed/folded format to this file (mt; feed to flamegraph.pl)")
-		critPathOut  = flag.Bool("critpath", false, "print the dynamic critical path with breakdown (mt)")
-		critPathJSON = flag.String("critpath-json", "", "write the critical-path analysis as JSON to this file (mt)")
-		whatIf       = flag.String("whatif", "", "comma-separated what-if scenarios to estimate, e.g. \"+1 alu,+1 ls,+1 slot\" (mt)")
+// command holds hirata-sim's parsed flags and the machine they describe.
+type command struct {
+	mach      simcli.Machine
+	cfg       hirata.MTConfig
+	out       simcli.Outputs
+	machine   string
+	threads   int
+	copies    int
+	headroom  int
+	dumpMem   string
+	statCheck bool
+	verbose   bool
+}
 
-		selfProfile = flag.Bool("self-profile", false, "profile the simulator itself: print the sampled cycle-loop phase breakdown and event-horizon skip counts after the run (mt; docs/OBSERVABILITY.md)")
-		hostTrace   = flag.String("host-trace", "", "with -self-profile, write the host-side Chrome Trace Event JSON here (mt)")
-		recordPath  = flag.String("record", "", "append the completed run to this content-addressed ledger file (mt; inspect with hirata-report)")
-		runTag      = flag.String("run-tag", "", "lineage tag stored in the run record (with -record)")
-		version     = flag.Bool("version", false, "print build information and exit")
-	)
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hirata-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	c := command{out: simcli.Outputs{Cmd: "hirata-sim", Stdout: stdout, Stderr: stderr}}
+	c.mach.Register(fs)
+	c.out.Register(fs)
+	fs.StringVar(&c.machine, "machine", "mt", "machine model: mt, risc, or interp")
+	fs.IntVar(&c.threads, "threads", 1, "threads started at pc 0 (mt)")
+	fs.IntVar(&c.copies, "copies", 0, "trace copies to replay (default: one per slot)")
+	fs.IntVar(&c.headroom, "headroom", 4096, "extra data-memory words beyond the data image")
+	fs.StringVar(&c.dumpMem, "dump-mem", "", "memory range to print after the run, LO:HI with each end a word address or symbol[+n], e.g. 100:110 or iters:iters+16")
+	fs.BoolVar(&c.statCheck, "static-check", false, "verify before running: refuse on statically provable deadlocks (L015..L017), warn on other findings, and print the static cycle bound next to the measured result (mt)")
+	fs.BoolVar(&c.verbose, "v", false, "print full statistics")
+	version := fs.Bool("version", false, "print build information and exit")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: hirata-sim [flags] program.s|program.mc|prog.trace")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *version {
-		fmt.Println("hirata-sim", hirata.Version())
-		return
+		fmt.Fprintln(stdout, "hirata-sim", hirata.Version())
+		return 0
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: hirata-sim [flags] program.s")
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
-	if *threads < 0 {
-		fail(fmt.Errorf("-threads must not be negative, got %d", *threads))
+	defer c.out.Close()
+	err := c.check(fs)
+	switch {
+	case err != nil:
+	case strings.HasSuffix(fs.Arg(0), ".trace"):
+		err = c.replay(fs.Arg(0))
+	default:
+		err = c.simulate(fs.Arg(0))
 	}
-	if *slots < 0 {
-		fail(fmt.Errorf("-slots must not be negative, got %d", *slots))
+	if err != nil {
+		fmt.Fprintln(stderr, "hirata-sim:", err)
+		return 1
 	}
+	if c.out.HTTP != "" {
+		fmt.Fprintln(stderr, "hirata-sim: run finished; endpoints stay up — interrupt (ctrl-C) to exit")
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, os.Interrupt)
+		<-ch
+	}
+	return 0
+}
 
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fail(err)
+// check rejects, before anything is loaded or opened, a negative count and
+// a flag that does not apply to the input or the machine.
+func (c *command) check(fs *flag.FlagSet) (err error) {
+	if c.cfg, err = c.mach.Config(); err != nil {
+		return err
 	}
-	// .mc files are MinC source; everything else is assembly.
-	var prog *hirata.Program
-	if strings.HasSuffix(flag.Arg(0), ".mc") {
-		prog, err = hirata.CompileMinC(string(src))
-	} else {
-		prog, err = hirata.Assemble(string(src))
+	if err := simcli.NonNegative("threads", c.threads); err != nil {
+		return err
 	}
-	if err != nil {
-		fail(err)
+	if err := simcli.NonNegative("copies", c.copies); err != nil {
+		return err
 	}
-	m, err := prog.NewMemory(int64(*headroom))
-	if err != nil {
-		fail(err)
+	trace := strings.HasSuffix(fs.Arg(0), ".trace")
+	switch {
+	case c.machine != "mt" && c.machine != "risc" && c.machine != "interp":
+		return fmt.Errorf("unknown machine %q", c.machine)
+	case trace && c.machine != "mt":
+		return fmt.Errorf("-machine %s cannot replay a trace; traces replay on mt", c.machine)
 	}
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case trace && (f.Name == "static-check" || f.Name == "dump-mem" || f.Name == "threads" || f.Name == "headroom"):
+			err = fmt.Errorf("-%s does not apply to a trace", f.Name)
+		case !trace && f.Name == "copies":
+			err = fmt.Errorf("-copies applies only to a .trace input")
+		case c.machine != "mt" && (f.Name == "static-check" || simcli.IsOutputFlag(f.Name)):
+			err = fmt.Errorf("-%s needs -machine mt, not %s", f.Name, c.machine)
+		}
+	})
+	return err
+}
 
-	switch *machine {
+// simulate runs a program and prints the result, every requested artifact
+// and the -dump-mem range.
+func (c *command) simulate(path string) error {
+	prog, m, err := simcli.Load(path, int64(c.headroom))
+	if err != nil {
+		return err
+	}
+	lo, hi, err := dumpRange(c.dumpMem, prog, m)
+	if err != nil {
+		return err
+	}
+	stdout := c.out.Stdout
+	switch c.machine {
 	case "mt":
-		cfg := hirata.MTConfig{
-			ThreadSlots:      *slots,
-			LoadStoreUnits:   *ls,
-			StandbyStations:  *standby,
-			IssueWidth:       *width,
-			RotationInterval: *rotation,
-			ExplicitRotation: *explicit,
-			ContextFrames:    *frames,
-		}
-		pcs := make([]int64, *threads)
-		hirata.SetMinCThreads(prog, m, cfg.Effective().ThreadSlots)
-
-		if *statCheck {
-			if err := staticCheck(prog, cfg, m, pcs); err != nil {
-				fail(err)
+		pcs := make([]int64, c.threads)
+		hirata.SetMinCThreads(prog, m, c.cfg.Effective().ThreadSlots)
+		if c.statCheck {
+			if err := c.staticCheck(prog, m); err != nil {
+				return err
 			}
 		}
-
-		var observers []hirata.Observer
-		var col *hirata.Collector
-		if *chromeTrace != "" || *profileOut || *metricsEvery > 0 || *httpAddr != "" ||
-			*cpiStack || *cpiFolded != "" || *critPathOut || *critPathJSON != "" || *whatIf != "" {
-			col = hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: *metricsEvery})
-			observers = append(observers, col)
-		}
-		if *pipeline {
-			observers = append(observers, &hirata.TextTracer{W: os.Stdout})
-		}
-		var prof *hirata.HostProfiler
-		if *selfProfile {
-			prof = hirata.NewHostProfiler(hirata.HostProfilerOptions{})
-		}
-		var led *hirata.RunLedger
-		if *recordPath != "" {
-			led, err = hirata.OpenRunLedger(*recordPath)
-			if err != nil {
-				fail(err)
-			}
-			hirata.SetRunLedger(led, *runTag)
-		}
-		var shutdown func() error
-		if *httpAddr != "" {
-			// Bind before the run starts so the live endpoints exist for its
-			// whole duration. With -self-profile the profiler also backs
-			// /hostmetrics.
-			var host hirata.HostSource
-			if prof != nil {
-				host = prof
-			}
-			var runs hirata.RunsSource
-			if led != nil {
-				runs = led
-			}
-			bound, stop, serr := hirata.ServeObservabilityWithSources(*httpAddr, col, prog, host, runs)
-			if serr != nil {
-				fail(serr)
-			}
-			shutdown = stop
-			fmt.Fprintf(os.Stderr, "hirata-sim: serving observability at http://%s\n", bound)
-		}
-
-		res, err := hirata.Run(cfg, prog.Text, m, hirata.RunOptions{Observers: observers, Host: prof}, pcs...)
+		opt, err := c.out.Start(c.cfg, prog, nil)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		if *verbose {
-			fmt.Print(res.String())
+		res, err := hirata.Run(c.cfg, prog.Text, m, opt, pcs...)
+		if err != nil {
+			return err
+		}
+		if c.verbose {
+			fmt.Fprint(stdout, res.String())
 		} else {
-			fmt.Printf("cycles=%d instructions=%d ipc=%.3f\n", res.Cycles, res.Instructions, res.IPC())
+			fmt.Fprintf(stdout, "cycles=%d instructions=%d ipc=%.3f\n", res.Cycles, res.Instructions, res.IPC())
 		}
-		if *statCheck {
-			printStaticBound(cfg, prog, res.Cycles, pcs)
+		if c.statCheck {
+			c.printStaticBound(prog, res.Cycles, pcs)
 		}
-		if led != nil {
-			if lerr := hirata.RunLedgerError(); lerr != nil {
-				fail(lerr)
-			}
-			if es := led.Last(1); len(es) == 1 {
-				fmt.Fprintf(os.Stderr, "hirata-sim: recorded run %s (key %s) to %s\n",
-					es[0].Hash[:12], es[0].Record.Key[:12], *recordPath)
-			}
-		}
-
-		if *chromeTrace != "" {
-			f, ferr := os.Create(*chromeTrace)
-			if ferr != nil {
-				fail(ferr)
-			}
-			if err := col.WriteChromeTrace(f); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "hirata-sim: wrote %s (load in ui.perfetto.dev)\n", *chromeTrace)
-		}
-		if *metricsEvery > 0 {
-			fmt.Println()
-			if err := col.WriteIntervalTable(os.Stdout); err != nil {
-				fail(err)
-			}
-		}
-		if *profileOut {
-			fmt.Println()
-			if err := col.Profile().WriteAnnotated(os.Stdout, prog); err != nil {
-				fail(err)
-			}
-		}
-		if *cpiStack {
-			fmt.Println()
-			if err := col.CPIStack().WriteCPITable(os.Stdout); err != nil {
-				fail(err)
-			}
-		}
-		if *cpiFolded != "" {
-			f, ferr := os.Create(*cpiFolded)
-			if ferr != nil {
-				fail(ferr)
-			}
-			if err := col.CPIStack().WriteCPIFolded(f); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "hirata-sim: wrote %s (feed to flamegraph.pl or speedscope)\n", *cpiFolded)
-		}
-		if *critPathOut || *critPathJSON != "" {
-			cp, cerr := col.CritPath()
-			if cerr != nil {
-				fail(cerr)
-			}
-			if *critPathOut {
-				fmt.Println()
-				if err := cp.WriteText(os.Stdout, prog); err != nil {
-					fail(err)
-				}
-			}
-			if *critPathJSON != "" {
-				cp.Annotate(prog)
-				f, ferr := os.Create(*critPathJSON)
-				if ferr != nil {
-					fail(ferr)
-				}
-				if err := cp.WriteJSON(f); err != nil {
-					fail(err)
-				}
-				if err := f.Close(); err != nil {
-					fail(err)
-				}
-				fmt.Fprintf(os.Stderr, "hirata-sim: wrote %s\n", *critPathJSON)
-			}
-		}
-		if *whatIf != "" {
-			ests, werr := col.WhatIfAll(*whatIf)
-			if werr != nil {
-				fail(werr)
-			}
-			fmt.Println()
-			fmt.Print(hirata.FormatWhatIfEstimates(ests))
-		}
-		if prof != nil {
-			fmt.Println()
-			fmt.Print(prof.Profile().Format())
-			if *hostTrace != "" {
-				f, ferr := os.Create(*hostTrace)
-				if ferr != nil {
-					fail(ferr)
-				}
-				if err := hirata.WriteHostTrace(f, prof, nil); err != nil {
-					fail(err)
-				}
-				if err := f.Close(); err != nil {
-					fail(err)
-				}
-				fmt.Fprintf(os.Stderr, "hirata-sim: wrote %s (load in ui.perfetto.dev)\n", *hostTrace)
-			}
-		}
-		if shutdown != nil {
-			fmt.Fprintln(os.Stderr, "hirata-sim: run finished; endpoints stay up — interrupt (ctrl-C) to exit")
-			waitForInterrupt()
-			_ = shutdown()
+		if err := c.out.Finish(); err != nil {
+			return err
 		}
 	case "risc":
-		res, err := hirata.RunRISC(hirata.RISCConfig{LoadStoreUnits: *ls}, prog.Text, m)
+		res, err := hirata.RunRISC(hirata.RISCConfig{LoadStoreUnits: c.cfg.LoadStoreUnits}, prog.Text, m)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("cycles=%d instructions=%d cpi=%.3f branches=%d\n",
+		fmt.Fprintf(stdout, "cycles=%d instructions=%d cpi=%.3f branches=%d\n",
 			res.Cycles, res.Instructions, res.CPI(), res.Branches)
 	case "interp":
 		steps, err := hirata.Interpret(prog.Text, m)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("instructions=%d\n", steps)
-	default:
-		fail(fmt.Errorf("unknown machine %q", *machine))
+		fmt.Fprintf(stdout, "instructions=%d\n", steps)
 	}
-
-	if *dumpMem != "" {
-		lo, hi, err := parseRange(*dumpMem)
+	for a := lo; a < hi; a++ {
+		v, err := m.Load(a)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		for a := lo; a < hi; a++ {
-			v, err := m.Load(a)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("mem[%d] = %#016x (int %d, float %g)\n", a, v, int64(v), m.FloatAt(a))
-		}
+		fmt.Fprintf(stdout, "mem[%d] = %#016x (int %d, float %g)\n", a, v, int64(v), m.FloatAt(a))
 	}
+	return nil
+}
+
+// replay runs -copies copies of the trace at path, one per slot by
+// default, and prints the result and every requested artifact.
+func (c *command) replay(path string) error {
+	recs, err := simcli.ReadTrace(path)
+	if err != nil {
+		return err
+	}
+	slots := c.cfg.Effective().ThreadSlots
+	n := c.copies
+	if n == 0 {
+		n = slots
+	}
+	traces := make([][]hirata.TraceRecord, n)
+	for i := range traces {
+		traces[i] = recs
+	}
+	opt, err := c.out.Start(c.cfg, nil, nil)
+	if err != nil {
+		return err
+	}
+	res, err := hirata.ReplayTraces(c.cfg, traces, opt)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(c.out.Stdout, "replayed %d x %d instructions on %d slots\n%s", n, len(recs), slots, res.String())
+	return c.out.Finish()
 }
 
 // staticCheck runs the verifier with the queue-protocol liveness checks
 // enabled before simulating. A provable deadlock (L015..L017) refuses the
 // run — simulating it would only spin to MaxCycles — while every other
 // finding is reported as a warning and the run proceeds.
-func staticCheck(prog *hirata.Program, cfg hirata.MTConfig, m *hirata.Memory, pcs []int64) error {
+func (c *command) staticCheck(prog *hirata.Program, m *hirata.Memory) error {
 	lc := hirata.LintConfig{
-		QueueDepth:  cfg.QueueDepth,
-		ThreadSlots: cfg.ThreadSlots,
+		QueueDepth:  c.cfg.QueueDepth,
+		ThreadSlots: c.cfg.ThreadSlots,
 		InterThread: true,
 		Deadlock:    true,
 		MemWords:    m.Size(),
 	}
-	seen := map[int]bool{}
-	for _, pc := range pcs {
-		if !seen[int(pc)] {
-			seen[int(pc)] = true
-			lc.Entries = append(lc.Entries, int(pc))
-		}
+	if c.threads > 0 {
+		lc.Entries = []int{0} // every thread starts at pc 0
 	}
 	fatal := 0
 	for _, d := range hirata.LintWithConfig(prog, lc) {
 		switch d.Code {
 		case "L015", "L016", "L017":
 			fatal++
-			fmt.Fprintf(os.Stderr, "hirata-sim: static-check: %s\n", d)
+			fmt.Fprintf(c.out.Stderr, "hirata-sim: static-check: %s\n", d)
 		default:
-			fmt.Fprintf(os.Stderr, "hirata-sim: static-check warning: %s\n", d)
+			fmt.Fprintf(c.out.Stderr, "hirata-sim: static-check warning: %s\n", d)
 		}
 	}
 	if fatal > 0 {
@@ -363,38 +265,48 @@ func staticCheck(prog *hirata.Program, cfg hirata.MTConfig, m *hirata.Memory, pc
 // printStaticBound puts the static lower bound next to the measured cycle
 // count; the gap is the schedule-quality headroom the machine left on the
 // table.
-func printStaticBound(cfg hirata.MTConfig, prog *hirata.Program, measured uint64, pcs []int64) {
-	b := hirata.StaticBounds(cfg, prog.Text, pcs...)
+func (c *command) printStaticBound(prog *hirata.Program, measured uint64, pcs []int64) {
+	b := hirata.StaticBounds(c.cfg, prog.Text, pcs...)
 	if b.Unbounded {
-		fmt.Println("static-bound=unbounded (some thread never reaches halt)")
+		fmt.Fprintln(c.out.Stdout, "static-bound=unbounded (some thread never reaches halt)")
 		return
 	}
 	gap := 0.0
 	if b.Bound > 0 {
 		gap = (float64(measured) - float64(b.Bound)) / float64(b.Bound) * 100
 	}
-	fmt.Printf("static-bound=%d measured=%d headroom=%.1f%%\n", b.Bound, measured, gap)
+	fmt.Fprintf(c.out.Stdout, "static-bound=%d measured=%d headroom=%.1f%%\n", b.Bound, measured, gap)
 }
 
-func waitForInterrupt() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	<-ch
-}
-
-func parseRange(s string) (lo, hi int64, err error) {
-	parts := strings.SplitN(s, ":", 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad range %q, want LO:HI", s)
+// dumpRange resolves a -dump-mem LO:HI range, each end a word address or
+// symbol[+n], and checks that it lies in memory. An empty spec is the
+// empty range.
+func dumpRange(spec string, prog *hirata.Program, m *hirata.Memory) (lo, hi int64, err error) {
+	if spec == "" {
+		return 0, 0, nil
 	}
-	if lo, err = strconv.ParseInt(parts[0], 0, 64); err != nil {
-		return
+	ends := strings.Split(spec, ":")
+	if len(ends) != 2 {
+		return 0, 0, fmt.Errorf("bad -dump-mem %q, want LO:HI", spec)
 	}
-	hi, err = strconv.ParseInt(parts[1], 0, 64)
-	return
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "hirata-sim:", err)
-	os.Exit(1)
+	var at [2]int64
+	for i, end := range ends {
+		base, off, hasOff := strings.Cut(end, "+")
+		v, err := strconv.ParseInt(base, 0, 64)
+		if sym, ok := prog.Symbol(base); err != nil && ok {
+			v, err = sym, nil
+		}
+		var n int64
+		if err == nil && hasOff {
+			n, err = strconv.ParseInt(off, 0, 64)
+		}
+		if err != nil {
+			return 0, 0, fmt.Errorf("bad -dump-mem %q: %q is not a number or symbol[+n]", spec, end)
+		}
+		at[i] = v + n
+	}
+	if at[0] < 0 || at[1] < at[0] || at[1] > m.Size() {
+		return 0, 0, fmt.Errorf("-dump-mem %q is not a range in the %d-word memory", spec, m.Size())
+	}
+	return at[0], at[1], nil
 }

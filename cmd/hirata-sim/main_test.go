@@ -2,67 +2,29 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"hirata"
+	"hirata/cmd/internal/simcli"
+	"hirata/internal/trace"
 )
 
-// TestMain runs the test binary as hirata-sim itself when HIRATA_SIM_MAIN
-// is set, so the tests drive the command's flag handling and exit status
-// without building it.
-func TestMain(m *testing.M) {
-	if os.Getenv("HIRATA_SIM_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+const (
+	fibS     = "../../examples/programs/fib.s"
+	mandelMC = "../../examples/programs/mandel.mc"
+)
 
-// runSim re-executes the test binary as hirata-sim with args.
-func runSim(t *testing.T, args ...string) (stdout, stderr string, code int) {
+// sim runs hirata-sim in process with args.
+func sim(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "HIRATA_SIM_MAIN=1")
 	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	var ee *exec.ExitError
-	if err := cmd.Run(); errors.As(err, &ee) {
-		code = ee.ExitCode()
-	} else if err != nil {
-		t.Fatal(err)
-	}
+	code = run(args, &out, &errb)
 	return out.String(), errb.String(), code
-}
-
-func TestNegativeThreadsFlag(t *testing.T) {
-	_, stderr, code := runSim(t, "-threads", "-1", "../../examples/programs/fib.s")
-	if code == 0 {
-		t.Error("-threads -1 exited 0")
-	}
-	if lines := strings.Split(strings.TrimSpace(stderr), "\n"); len(lines) != 1 || !strings.Contains(lines[0], "-threads") {
-		t.Errorf("stderr = %q, want one line naming -threads", stderr)
-	}
-}
-
-// TestObservedProfiledRun drives the run with a Collector and the host
-// profiler attached: the CPI stack covers exactly the printed cycles.
-func TestObservedProfiledRun(t *testing.T) {
-	stdout, stderr, code := runSim(t, "-slots", "2", "-threads", "2", "-cpi-stack", "-self-profile", "../../examples/programs/fib.s")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, stderr)
-	}
-	var cycles, instrs uint64
-	var ipc float64
-	if _, err := fmt.Sscanf(stdout, "cycles=%d instructions=%d ipc=%f", &cycles, &instrs, &ipc); err != nil {
-		t.Fatalf("no result line: %v\n%s", err, stdout)
-	}
-	if want := fmt.Sprintf("cycle accounting over %d cycles", cycles); !strings.Contains(stdout, want) {
-		t.Errorf("CPI stack does not cover the run (want %q):\n%s", want, stdout)
-	}
 }
 
 // wantOneErrorLine requires a failing exit with exactly one stderr line
@@ -77,31 +39,222 @@ func wantOneErrorLine(t *testing.T, stderr string, code int, want string) {
 	}
 }
 
-// TestZeroSlotsRunsOneSlot: -slots 0 means the core's default of one slot,
-// and a MinC program must be told the thread count the machine actually
-// runs, so the run matches -slots 1 exactly.
-func TestZeroSlotsRunsOneSlot(t *testing.T) {
-	one, stderr, code := runSim(t, "-slots", "1", "../../examples/programs/mandel.mc")
-	if code != 0 || !strings.HasPrefix(one, "cycles=") {
-		t.Fatalf("-slots 1: exit %d, stdout %q, stderr %q", code, one, stderr)
+// fibTrace records the fib example's 126-instruction trace into a
+// temporary file.
+func fibTrace(t *testing.T) string {
+	t.Helper()
+	prog, m, err := simcli.Load(fibS, 4096)
+	if err != nil {
+		t.Fatal(err)
 	}
-	zero, stderr, code := runSim(t, "-slots", "0", "../../examples/programs/mandel.mc")
-	if code != 0 || zero != one {
-		t.Errorf("-slots 0: exit %d, stdout %q, stderr %q; want the -slots 1 result %q", code, zero, stderr, one)
+	recs, err := trace.RecordProgram(prog.Text, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fib.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Write(f, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// ledgerKeys returns the run keys recorded in the ledger at path.
+func ledgerKeys(t *testing.T, path string) []string {
+	t.Helper()
+	led, err := hirata.OpenRunLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, e := range led.Entries() {
+		keys = append(keys, e.Record.Key)
+	}
+	return keys
+}
+
+func TestNegativeThreadsFlag(t *testing.T) {
+	_, stderr, code := sim(t, "-threads", "-1", fibS)
+	wantOneErrorLine(t, stderr, code, "-threads")
+}
+
+// TestNegativeFlags: -1 for any machine flag, -threads or -copies is one
+// error line naming the flag, on a program and on a trace.
+func TestNegativeFlags(t *testing.T) {
+	tr := fibTrace(t)
+	for _, flag := range []string{"slots", "ls", "width", "rotation", "frames", "threads", "copies"} {
+		for _, input := range []string{mandelMC, tr} {
+			t.Run(flag+"/"+filepath.Base(input), func(t *testing.T) {
+				stdout, stderr, code := sim(t, "-"+flag, "-1", input)
+				wantOneErrorLine(t, stderr, code, "-"+flag)
+				if stdout != "" {
+					t.Errorf("refused run printed %q", stdout)
+				}
+			})
+		}
+	}
+}
+
+// TestObservedProfiledRun drives the run with a Collector and the host
+// profiler attached: the CPI stack covers exactly the printed cycles.
+func TestObservedProfiledRun(t *testing.T) {
+	stdout, stderr, code := sim(t, "-slots", "2", "-threads", "2", "-cpi-stack", "-self-profile", fibS)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	var cycles, instrs uint64
+	var ipc float64
+	if _, err := fmt.Sscanf(stdout, "cycles=%d instructions=%d ipc=%f", &cycles, &instrs, &ipc); err != nil {
+		t.Fatalf("no result line: %v\n%s", err, stdout)
+	}
+	if want := fmt.Sprintf("cycle accounting over %d cycles", cycles); !strings.Contains(stdout, want) {
+		t.Errorf("CPI stack does not cover the run (want %q):\n%s", want, stdout)
+	}
+}
+
+// TestReplayCPIStack replays a recorded trace with the CPI stack: the
+// replay runs one copy per slot, and the stack accounts for exactly the
+// replay's cycles.
+func TestReplayCPIStack(t *testing.T) {
+	stdout, stderr, code := sim(t, "-slots", "4", "-ls", "2", "-cpi-stack", fibTrace(t))
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if !strings.HasPrefix(stdout, "replayed 4 x 126 instructions on 4 slots\n") {
+		t.Errorf("replay banner missing:\n%s", stdout)
+	}
+	m := regexp.MustCompile(`cycles=(\d+) instructions=504 `).FindStringSubmatch(stdout)
+	if m == nil {
+		t.Fatalf("no result line with 504 instructions:\n%s", stdout)
+	}
+	if want := fmt.Sprintf("cycle accounting over %s cycles", m[1]); !strings.Contains(stdout, want) {
+		t.Errorf("CPI stack does not cover the run (want %q):\n%s", want, stdout)
+	}
+}
+
+// TestZeroSlotsRunsOneSlot: -slots 0 means the core's default of one slot.
+// A MinC program must be told the thread count the machine actually runs,
+// and a trace replays one copy, so the run matches -slots 1 exactly.
+func TestZeroSlotsRunsOneSlot(t *testing.T) {
+	for _, tc := range []struct{ input, prefix string }{
+		{mandelMC, "cycles="},
+		{fibTrace(t), "replayed 1 x 126 instructions on 1 slots\n"},
+	} {
+		t.Run(filepath.Base(tc.input), func(t *testing.T) {
+			one, stderr, code := sim(t, "-slots", "1", tc.input)
+			if code != 0 || !strings.HasPrefix(one, tc.prefix) {
+				t.Fatalf("-slots 1: exit %d, stdout %q, stderr %q", code, one, stderr)
+			}
+			zero, stderr, code := sim(t, "-slots", "0", tc.input)
+			if code != 0 || zero != one {
+				t.Errorf("-slots 0: exit %d, stdout %q, stderr %q; want the -slots 1 output %q", code, zero, stderr, one)
+			}
+		})
 	}
 }
 
 // TestBadSizesAreErrors: a negative slot count, an oversized headroom and
 // an oversized data image each give one error line, never a panic.
 func TestBadSizesAreErrors(t *testing.T) {
-	_, stderr, code := runSim(t, "-slots", "-1", "../../examples/programs/mandel.mc")
+	_, stderr, code := sim(t, "-slots", "-1", mandelMC)
 	wantOneErrorLine(t, stderr, code, "-slots")
-	_, stderr, code = runSim(t, "-headroom", "9000000000000000", "../../examples/programs/fib.s")
+	_, stderr, code = sim(t, "-headroom", "9000000000000000", fibS)
 	wantOneErrorLine(t, stderr, code, "headroom")
 	big := filepath.Join(t.TempDir(), "big.s")
 	if err := os.WriteFile(big, []byte("\t.data\n\t.space 9000000000000000\n\t.text\n\thalt\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stderr, code = runSim(t, big)
+	_, stderr, code = sim(t, big)
 	wantOneErrorLine(t, stderr, code, "line 2")
+}
+
+// TestDumpMemSymbols: -dump-mem resolves symbol[+n] at either end to the
+// same words as the numeric range, and a bad range is refused before the
+// run.
+func TestDumpMemSymbols(t *testing.T) {
+	byName, stderr, code := sim(t, "-slots", "4", "-dump-mem", "iters:iters+4", mandelMC)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	byAddr, _, _ := sim(t, "-slots", "4", "-dump-mem", "10:14", mandelMC)
+	if byName != byAddr || strings.Count(byName, "\nmem[") != 4 {
+		t.Errorf("-dump-mem iters:iters+4 printed\n%s\nwant the -dump-mem 10:14 output\n%s", byName, byAddr)
+	}
+	for _, spec := range []string{"nosuch:4", "iters:iters+x", "10", "14:10", "0:99999999"} {
+		stdout, stderr, code := sim(t, "-dump-mem", spec, mandelMC)
+		wantOneErrorLine(t, stderr, code, "-dump-mem")
+		if stdout != "" {
+			t.Errorf("-dump-mem %s: refused run printed %q", spec, stdout)
+		}
+	}
+}
+
+// TestNonMTRefusesOutputs: observer and ledger flags need the
+// multithreaded machine; on risc or interp they are one error line, and a
+// refused run creates no ledger.
+func TestNonMTRefusesOutputs(t *testing.T) {
+	ledger := filepath.Join(t.TempDir(), "x.ledger")
+	_, stderr, code := sim(t, "-machine", "risc", "-record", ledger, fibS)
+	wantOneErrorLine(t, stderr, code, "-record")
+	if _, err := os.Stat(ledger); !os.IsNotExist(err) {
+		t.Errorf("refused run touched the ledger file (stat: %v)", err)
+	}
+	_, stderr, code = sim(t, "-machine", "interp", "-cpi-stack", fibS)
+	wantOneErrorLine(t, stderr, code, "-cpi-stack")
+}
+
+// TestInputFlagsAreChecked: flags that do not apply to the input are one
+// error line naming the flag.
+func TestInputFlagsAreChecked(t *testing.T) {
+	tr := fibTrace(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-machine", "risc", tr}, "-machine"},
+		{[]string{"-static-check", tr}, "-static-check"},
+		{[]string{"-dump-mem", "0:1", tr}, "-dump-mem"},
+		{[]string{"-threads", "2", tr}, "-threads"},
+		{[]string{"-headroom", "10", tr}, "-headroom"},
+		{[]string{"-copies", "2", fibS}, "-copies"},
+		{[]string{"-machine", "vax", fibS}, "vax"},
+	} {
+		_, stderr, code := sim(t, tc.args...)
+		wantOneErrorLine(t, stderr, code, tc.want)
+	}
+}
+
+// TestRecordRunKey pins the run key of a recorded program run: the same
+// flags give the same key on hirata-report record. The ledger is detached
+// after the run, so a later run in the process records nothing.
+func TestRecordRunKey(t *testing.T) {
+	ledger := filepath.Join(t.TempDir(), "x.ledger")
+	if _, stderr, code := sim(t, "-slots", "2", "-threads", "2", "-record", ledger, fibS); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if _, stderr, code := sim(t, "-slots", "2", fibS); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	keys := ledgerKeys(t, ledger)
+	if len(keys) != 1 || !strings.HasPrefix(keys[0], "fa1043199d6e") {
+		t.Errorf("recorded keys %q, want one with prefix fa1043199d6e", keys)
+	}
+}
+
+// TestReplayRecords: a trace replay under -record appends a record.
+func TestReplayRecords(t *testing.T) {
+	ledger := filepath.Join(t.TempDir(), "x.ledger")
+	_, stderr, code := sim(t, "-record", ledger, fibTrace(t))
+	if code != 0 || !strings.Contains(stderr, "recorded run") {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if keys := ledgerKeys(t, ledger); len(keys) != 1 {
+		t.Errorf("ledger holds %d records, want 1", len(keys))
+	}
 }

@@ -3,11 +3,9 @@ package main
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -39,58 +37,32 @@ func runTrace(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errb.String(), code
 }
 
-// recordFib records the fib example's trace into a temporary file.
-func recordFib(t *testing.T) string {
-	t.Helper()
+// TestRecordStats records the fib example's trace to a file: -stats on the
+// file prints the same dynamic mix as -record without -o.
+func TestRecordStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fib.trace")
 	stdout, stderr, code := runTrace(t, "-record", "../../examples/programs/fib.s", "-o", path)
 	if code != 0 || !strings.HasPrefix(stdout, "recorded 126 instructions") {
 		t.Fatalf("-record: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
-	return path
-}
-
-// TestRecordReplayCPIStack records a trace and replays it with the CPI
-// stack: the replay runs every copy, and the stack accounts for exactly
-// the replay's cycles.
-func TestRecordReplayCPIStack(t *testing.T) {
-	path := recordFib(t)
-	stdout, stderr, code := runTrace(t, "-replay", path, "-cpi-stack")
-	if code != 0 {
-		t.Fatalf("-replay: exit %d, stderr %q", code, stderr)
+	direct, stderr, code := runTrace(t, "-record", "../../examples/programs/fib.s")
+	if code != 0 || !strings.HasPrefix(direct, "instructions: 126\n") {
+		t.Fatalf("-record without -o: exit %d, stdout %q, stderr %q", code, direct, stderr)
 	}
-	if !strings.HasPrefix(stdout, "replayed 4 x 126 instructions on 4 slots\n") {
-		t.Errorf("replay banner missing:\n%s", stdout)
-	}
-	m := regexp.MustCompile(`cycles=(\d+) instructions=504 `).FindStringSubmatch(stdout)
-	if m == nil {
-		t.Fatalf("no result line with 504 instructions:\n%s", stdout)
-	}
-	if want := fmt.Sprintf("cycle accounting over %s cycles", m[1]); !strings.Contains(stdout, want) {
-		t.Errorf("CPI stack does not cover the run (want %q):\n%s", want, stdout)
+	stats, stderr, code := runTrace(t, "-stats", path)
+	if code != 0 || stats != direct {
+		t.Errorf("-stats: exit %d, stdout %q, stderr %q; want %q", code, stats, stderr, direct)
 	}
 }
 
-func TestReplayNegativeSlotsFlag(t *testing.T) {
-	_, stderr, code := runTrace(t, "-replay", recordFib(t), "-slots", "-1")
-	if code == 0 {
-		t.Error("-slots -1 exited 0")
+// TestRecordMinC: a .mc program is compiled, not assembled; a forking
+// kernel is then refused by the functional model in one error line.
+func TestRecordMinC(t *testing.T) {
+	_, stderr, code := runTrace(t, "-record", "../../examples/programs/mandel.mc")
+	if code != 1 {
+		t.Errorf("exit %d, want 1", code)
 	}
-	if lines := strings.Split(strings.TrimSpace(stderr), "\n"); len(lines) != 1 || !strings.Contains(lines[0], "-slots") {
-		t.Errorf("stderr = %q, want one line naming -slots", stderr)
-	}
-}
-
-// TestReplayZeroSlotsRunsOneSlot: -slots 0 replays one copy on the core's
-// default single slot, exactly as -slots 1 does.
-func TestReplayZeroSlotsRunsOneSlot(t *testing.T) {
-	path := recordFib(t)
-	one, stderr, code := runTrace(t, "-replay", path, "-slots", "1")
-	if code != 0 || !strings.HasPrefix(one, "replayed 1 x 126 instructions on 1 slots\n") {
-		t.Fatalf("-slots 1: exit %d, stdout %q, stderr %q", code, one, stderr)
-	}
-	zero, stderr, code := runTrace(t, "-replay", path, "-slots", "0")
-	if code != 0 || zero != one {
-		t.Errorf("-slots 0: exit %d, stdout %q, stderr %q; want the -slots 1 output %q", code, zero, stderr, one)
+	if lines := strings.Split(strings.TrimSpace(stderr), "\n"); len(lines) != 1 || !strings.Contains(lines[0], "ffork requires the multithreaded machine") {
+		t.Errorf("stderr = %q, want one line from the functional model", stderr)
 	}
 }

@@ -305,10 +305,13 @@ func NewCollector(cfg MTConfig, opt CollectorOptions) *Collector {
 }
 
 // ServeObservability starts an HTTP server exposing a collector's /metrics,
-// /metrics.json, /trace.json, /profile and /debug/pprof endpoints. It
-// returns the bound address (useful with ":0") and a shutdown function.
-func ServeObservability(addr string, c *Collector, prog *Program) (string, func() error, error) {
-	return obs.Serve(addr, c, prog)
+// /metrics.json, /trace.json, /profile and /debug/pprof endpoints, plus
+// /hostmetrics backed by host (e.g. a HostExport or *HostProfiler) and the
+// cross-run /runs endpoints backed by runs. prog may be nil; a nil source
+// serves 503 on its routes. It returns the bound address (useful with ":0")
+// and a shutdown function.
+func ServeObservability(addr string, c *Collector, prog *Program, host HostSource, runs RunsSource) (string, func() error, error) {
+	return obs.Serve(addr, c, prog, host, runs)
 }
 
 // Host-level self-observability (see internal/hostobs and the "Host-level
@@ -345,13 +348,6 @@ func NewSweepRecorder() *SweepRecorder { return hostobs.NewSweepRecorder() }
 // Either source may be nil.
 func WriteHostTrace(w io.Writer, prof *HostProfiler, rec *SweepRecorder) error {
 	return hostobs.WriteHostTrace(w, prof, rec)
-}
-
-// ServeObservabilityWithHost is ServeObservability plus a /hostmetrics
-// endpoint backed by host (e.g. a HostExport or *HostProfiler); a nil host
-// serves 503 on that route.
-func ServeObservabilityWithHost(addr string, c *Collector, prog *Program, host HostSource) (string, func() error, error) {
-	return obs.ServeWithHost(addr, c, prog, host)
 }
 
 // Version reports the binary's build identity (VCS revision, dirty flag, Go

@@ -43,25 +43,13 @@ type RunsSource interface {
 //	/hostmetrics Prometheus exposition of the simulator's own execution
 //	/debug/pprof/... the standard Go profiler endpoints
 //
-// prog supplies the profiler's source-line map and may be nil. The
-// collector is written by the simulation loop concurrently; every handler
-// works from a consistent snapshot.
-func Handler(c *Collector, prog *asm.Program) http.Handler {
-	return HandlerWithHost(c, prog, nil)
-}
-
-// HandlerWithHost is Handler with a host-side self-observability source for
-// /hostmetrics. A nil host serves 503 on that endpoint (the run was started
-// without -self-profile).
-func HandlerWithHost(c *Collector, prog *asm.Program, host HostSource) http.Handler {
-	return HandlerWithSources(c, prog, host, nil)
-}
-
-// HandlerWithSources is Handler with both optional sources: a HostSource
-// for /hostmetrics and a RunsSource for /runs, /runs/<sel> and the
-// hirata_runledger_* series appended to /metrics. Nil sources serve 503 on
-// their endpoints.
-func HandlerWithSources(c *Collector, prog *asm.Program, host HostSource, runs RunsSource) http.Handler {
+// prog supplies the profiler's source-line map and may be nil. host backs
+// /hostmetrics; runs backs /runs, /runs/<sel> and the hirata_runledger_*
+// series appended to /metrics. A nil source serves 503 on its endpoints
+// (for host: the run was started without -self-profile). The collector is
+// written by the simulation loop concurrently; every handler works from a
+// consistent snapshot.
+func Handler(c *Collector, prog *asm.Program, host HostSource, runs RunsSource) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -177,22 +165,12 @@ func HandlerWithSources(c *Collector, prog *asm.Program, host HostSource, runs R
 // It returns once the listener is bound (so "the server is up" is
 // ordered before the simulation starts) along with the bound address —
 // useful with ":0" — and a shutdown function.
-func Serve(addr string, c *Collector, prog *asm.Program) (bound string, shutdown func() error, err error) {
-	return ServeWithHost(addr, c, prog, nil)
-}
-
-// ServeWithHost is Serve with a HostSource attached to /hostmetrics.
-func ServeWithHost(addr string, c *Collector, prog *asm.Program, host HostSource) (bound string, shutdown func() error, err error) {
-	return ServeWithSources(addr, c, prog, host, nil)
-}
-
-// ServeWithSources is Serve with both optional sources attached.
-func ServeWithSources(addr string, c *Collector, prog *asm.Program, host HostSource, runs RunsSource) (bound string, shutdown func() error, err error) {
+func Serve(addr string, c *Collector, prog *asm.Program, host HostSource, runs RunsSource) (bound string, shutdown func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: HandlerWithSources(c, prog, host, runs)}
+	srv := &http.Server{Handler: Handler(c, prog, host, runs)}
 	go func() {
 		// Serve returns http.ErrServerClosed on shutdown; anything else is
 		// reported through the server's ErrorLog default (stderr).

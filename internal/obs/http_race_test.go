@@ -61,7 +61,7 @@ func liveRunEndpoints(t *testing.T, opt Options) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(Handler(c, prog))
+	srv := httptest.NewServer(Handler(c, prog, nil, nil))
 	defer srv.Close()
 
 	runDone := make(chan error, 1)

@@ -21,8 +21,8 @@
 //
 // On top of the store, diff.go attributes the cycle delta between two runs
 // exactly across CPI-stack buckets and per-class utilization (the paper's
-// U = N·L/T), and regress.go walks a ledger or a BENCH_history.jsonl file
-// flagging significant shifts. cmd/hirata-report is the CLI; the /runs
+// U = N·L/T), and regress.go walks a ledger's lineages flagging cycle-count
+// shifts. cmd/hirata-report is the CLI; the /runs
 // endpoints of internal/obs serve a live ledger.
 package runledger
 

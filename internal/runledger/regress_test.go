@@ -1,7 +1,6 @@
 package runledger
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -58,84 +57,5 @@ func TestRegressLedger(t *testing.T) {
 	}
 	if sum := FormatShiftSummary(nil); !strings.Contains(sum, "no cycle-count shifts") {
 		t.Errorf("FormatShiftSummary(nil) = %q", sum)
-	}
-}
-
-// historyJSON builds a history row with one sim-cycles/s metric and an
-// optional phase profile.
-func historyRowFor(rev string, cyc float64, phases map[string]float64) HistoryRow {
-	row := HistoryRow{
-		Time:            "2026-01-01T00:00:00Z",
-		Revision:        rev,
-		GoVersion:       "go1.24",
-		OS:              "linux",
-		Arch:            "amd64",
-		CPUs:            8,
-		Benchmarks:      map[string]float64{"BenchmarkRayTrace": 1e6},
-		SimCyclesPerSec: map[string]float64{"BenchmarkRayTrace": cyc},
-	}
-	if phases != nil {
-		type phase struct {
-			Name     string  `json:"name"`
-			Fraction float64 `json:"fraction"`
-		}
-		doc := struct {
-			Phases []phase `json:"phases"`
-		}{}
-		for _, n := range []string{"issue", "execute", "retire"} {
-			if f, ok := phases[n]; ok {
-				doc.Phases = append(doc.Phases, phase{n, f})
-			}
-		}
-		js, _ := json.Marshal(doc)
-		row.PhaseProfile = js
-	}
-	return row
-}
-
-func TestRegressHistory(t *testing.T) {
-	steady := map[string]float64{"issue": 0.30, "execute": 0.50, "retire": 0.20}
-	slow := map[string]float64{"issue": 0.55, "execute": 0.30, "retire": 0.15}
-	rows := []HistoryRow{
-		historyRowFor("r1", 1.00e7, steady),
-		historyRowFor("r2", 1.01e7, steady),
-		historyRowFor("r3", 0.99e7, steady),
-		historyRowFor("r4", 1.00e7, steady),
-		historyRowFor("r5", 0.70e7, slow), // 30% drop
-	}
-	shifts := RegressHistory(rows, HistoryOptions{})
-	if len(shifts) != 1 {
-		t.Fatalf("RegressHistory found %d shift(s), want 1: %+v", len(shifts), shifts)
-	}
-	s := shifts[0]
-	if s.Revision != "r5" || s.RelDelta > -0.25 {
-		t.Fatalf("shift = %+v", s)
-	}
-	if len(s.Phases) == 0 || s.Phases[0].Name != "issue" {
-		t.Fatalf("phase attribution = %+v, want issue first (largest move)", s.Phases)
-	}
-
-	// Noise inside the significance thresholds is not flagged.
-	noisy := []HistoryRow{
-		historyRowFor("r1", 1.00e7, nil),
-		historyRowFor("r2", 1.02e7, nil),
-		historyRowFor("r3", 0.98e7, nil),
-		historyRowFor("r4", 1.01e7, nil),
-	}
-	if got := RegressHistory(noisy, HistoryOptions{}); len(got) != 0 {
-		t.Fatalf("noise flagged: %+v", got)
-	}
-
-	// Host classes never cross-compare: a slower container is not a shift.
-	other := historyRowFor("r6", 0.5e7, nil)
-	other.CPUs = 2
-	if got := RegressHistory(append(noisy, other), HistoryOptions{}); len(got) != 0 {
-		t.Fatalf("cross-host-class comparison flagged: %+v", got)
-	}
-
-	var buf strings.Builder
-	WriteHistoryShifts(&buf, shifts)
-	if !strings.Contains(buf.String(), "drop") || !strings.Contains(buf.String(), "issue") {
-		t.Errorf("WriteHistoryShifts output unexpected:\n%s", buf.String())
 	}
 }

@@ -157,10 +157,3 @@ func AttachStaticBounds(rec *RunRecord, cfg MTConfig, text []Instruction, startP
 	b := StaticBounds(cfg, text, startPCs...)
 	rec.SetBounds(int64(b.DepBound), int64(b.ResourceBound), int64(b.IssueBound), int64(b.Bound), b.Unbounded)
 }
-
-// ServeObservabilityWithSources is ServeObservability plus /hostmetrics
-// (host) and the cross-run /runs endpoints (runs); nil sources serve 503
-// on their routes.
-func ServeObservabilityWithSources(addr string, c *Collector, prog *Program, host HostSource, runs RunsSource) (string, func() error, error) {
-	return obs.ServeWithSources(addr, c, prog, host, runs)
-}
