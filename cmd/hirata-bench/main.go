@@ -302,9 +302,10 @@ func main() {
 // machine with a collector attached — the same configuration Table 2
 // measures — and writes whichever artifacts out selects: the Perfetto
 // timeline, folded CPI stacks, the critical-path JSON, bounded what-if
-// estimates, and/or a live HTTP server. The collector samples 256-cycle
-// intervals for the timeline's counter tracks. The caller closes out,
-// which stops the HTTP server.
+// estimates, and/or a live HTTP server. The collector keeps the default
+// event ring for the timeline, critical path and what-if exports, and
+// samples 256-cycle intervals for the timeline's counter tracks. The
+// caller closes out, which stops the HTTP server.
 func recordRepresentative(rt hirata.RayTraceConfig, out *simcli.Outputs) error {
 	w, err := hirata.BuildRayTrace(rt)
 	if err != nil {
@@ -315,7 +316,8 @@ func recordRepresentative(rt hirata.RayTraceConfig, out *simcli.Outputs) error {
 	if err != nil {
 		return err
 	}
-	opt, err := out.Start(cfg, w.Par, hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: 256}))
+	col := hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: 256, RingCapacity: hirata.DefaultRingCapacity})
+	opt, err := out.Start(cfg, w.Par, col)
 	if err != nil {
 		return err
 	}

@@ -42,7 +42,7 @@ func runSelfProfile(w io.Writer, rt hirata.RayTraceConfig, out selfProfileOutput
 	var shutdown func() error
 	opt := hirata.RunOptions{Host: prof}
 	if out.httpAddr != "" {
-		col := hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: 256})
+		col := hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: 256, RingCapacity: hirata.DefaultRingCapacity})
 		bound, stop, serr := hirata.ServeObservability(out.httpAddr, col, wl.Par,
 			hirata.HostExport{Prof: prof, Sweep: rec}, nil)
 		if serr != nil {

@@ -152,6 +152,7 @@ func cmdRecord(args []string) error {
 	}
 	// Digest the inputs before the run mutates the memory image.
 	pend := runledger.Begin(cfg, text, m, pcs)
+	// The record keeps the exact CPI stack, which needs no event ring.
 	col := hirata.NewCollector(cfg, hirata.CollectorOptions{})
 	res, err := hirata.Run(cfg, text, m, hirata.RunOptions{Observers: []hirata.Observer{col}}, pcs...)
 	if err != nil {

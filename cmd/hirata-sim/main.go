@@ -106,8 +106,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// check rejects, before anything is loaded or opened, a negative count and
-// a flag that does not apply to the input or the machine.
+// check rejects, before anything is loaded or opened, a negative count, a
+// flag that does not apply to the input or the machine, and a bad
+// -whatif.
 func (c *command) check(fs *flag.FlagSet) (err error) {
 	if c.cfg, err = c.mach.Config(); err != nil {
 		return err
@@ -136,7 +137,10 @@ func (c *command) check(fs *flag.FlagSet) (err error) {
 			err = fmt.Errorf("-%s needs -machine mt, not %s", f.Name, c.machine)
 		}
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	return c.out.Check()
 }
 
 // simulate runs a program and prints the result, every requested artifact

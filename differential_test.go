@@ -22,10 +22,15 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"hirata/internal/core"
+	"hirata/internal/isa"
+	"hirata/internal/obs"
 )
 
 // memWords snapshots the full memory image.
@@ -180,17 +185,19 @@ type observedRun struct {
 // totals it checks against the Result's. The Collector's ring keeps the
 // last 2^16 events, which bounds the memory and time of the long MinC
 // runs: their Chrome traces compare the tail of the run, while the tracer
-// output compares every event.
+// output compares every event. A ring-less Collector rides beside it and
+// must export the same aggregates (sameAggregates).
 func runObserved(t *testing.T, c goldenCase, cfg MTConfig, observe bool) observedRun {
 	t.Helper()
 	host := NewHostProfiler(HostProfilerOptions{})
 	opt := RunOptions{Host: host}
 	var tracer hash.Hash
-	var col *Collector
+	var col, ringless *Collector
 	if observe {
 		tracer = sha256.New()
 		col = NewCollector(cfg, CollectorOptions{MetricsInterval: 64, KeepStallEvents: true, RingCapacity: 1 << 16})
-		opt.Observers = []Observer{&TextTracer{W: tracer}, col}
+		ringless = NewCollector(cfg, CollectorOptions{MetricsInterval: 64, KeepStallEvents: true})
+		opt.Observers = []Observer{&TextTracer{W: tracer}, col, ringless}
 	}
 	var (
 		out observedRun
@@ -226,6 +233,7 @@ func runObserved(t *testing.T, c goldenCase, cfg MTConfig, observe bool) observe
 				}
 			}
 		}
+		sameAggregates(t, col, ringless)
 		out.outputs[0] = fmt.Sprintf("%x", tracer.Sum(nil))
 		for i, write := range []func(io.Writer) error{
 			col.WriteMetricsJSON,
@@ -240,6 +248,56 @@ func runObserved(t *testing.T, c goldenCase, cfg MTConfig, observe bool) observe
 		}
 	}
 	return out
+}
+
+// sameAggregates requires the ring-less Collector to export exactly what
+// the ring Collector does from the same event stream: metrics JSON,
+// Prometheus text, CPI stack, profile and interval samples. Only the ring
+// drops events, so its drop count is set to the ring-less zero first.
+func sameAggregates(t *testing.T, ring, ringless *Collector) {
+	t.Helper()
+	if ringless.Dropped() != 0 || ringless.Events() != nil {
+		t.Errorf("ring-less Collector dropped %d events and kept %d", ringless.Dropped(), len(ringless.Events()))
+	}
+	dropped := ring.Dropped()
+	sansDrops := func(b []byte) []byte {
+		for _, f := range []string{`"events_dropped": %d,`, "hirata_events_dropped_total %d\n"} {
+			b = bytes.Replace(b, []byte(fmt.Sprintf(f, dropped)), []byte(fmt.Sprintf(f, 0)), 1)
+		}
+		return b
+	}
+	cpi := func(c *Collector) func(io.Writer) error {
+		st := c.CPIStack()
+		st.Dropped = 0
+		return st.WriteCPIJSON
+	}
+	for _, e := range []struct {
+		name           string
+		ring, ringless func(io.Writer) error
+	}{
+		{"metrics JSON", ring.WriteMetricsJSON, ringless.WriteMetricsJSON},
+		{"Prometheus text", ring.WritePrometheus, ringless.WritePrometheus},
+		{"CPI stack JSON", cpi(ring), cpi(ringless)},
+	} {
+		var want, got bytes.Buffer
+		if err := e.ring(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ringless(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sansDrops(want.Bytes()), got.Bytes()) {
+			t.Errorf("ring-less Collector's %s differs from the ring Collector's", e.name)
+		}
+	}
+	want, got := ring.Profile(), ringless.Profile()
+	want.Dropped = 0
+	if !reflect.DeepEqual(got, want) {
+		t.Error("ring-less Collector's profile differs from the ring Collector's")
+	}
+	if !reflect.DeepEqual(ringless.Samples(), ring.Samples()) {
+		t.Error("ring-less Collector's interval samples differ from the ring Collector's")
+	}
 }
 
 // remoteObservedCases are remote-latency kernels with more context frames
@@ -369,4 +427,164 @@ func TestParallelMultiprogramIdentical(t *testing.T) {
 	if !reflect.DeepEqual(out[0], out[1]) {
 		t.Errorf("multiprogram cells differ:\n  seq: %+v\n  par: %+v", out[0], out[1])
 	}
+}
+
+// mapProfile is the per-PC aggregation the Collector kept before its dense
+// table: rows in a map keyed by pc, created by the first event naming the
+// pc. It is the reference TestDenseProfileMatchesMapReference holds the
+// table to.
+type mapProfile map[int64]*obs.PCStat
+
+func (m mapProfile) row(pc int64) *obs.PCStat {
+	st := m[pc]
+	if st == nil {
+		st = &obs.PCStat{PC: pc}
+		m[pc] = st
+	}
+	return st
+}
+
+func (m mapProfile) Issue(_ uint64, _ int, pc int64, ins isa.Instruction) {
+	st := m.row(pc)
+	st.Ins = ins
+	st.Issues++
+}
+
+func (m mapProfile) Select(cycle uint64, _ int, pc int64, ins isa.Instruction, _ isa.UnitClass, _ int, readyAt uint64) {
+	st := m.row(pc)
+	st.Ins = ins
+	st.Selects++
+	st.BusyCycles += uint64(ins.Op.IssueLatency())
+	if readyAt > cycle {
+		st.LatencyCycles += readyAt - cycle
+	}
+}
+
+func (m mapProfile) Complete(_ uint64, _ int, pc int64, _ isa.Instruction, _ isa.UnitClass, _ int) {
+	m.row(pc).Completes++
+}
+
+func (m mapProfile) Stall(_ uint64, _ int, pc int64, _ core.StallReason) {
+	if pc >= 0 {
+		m.row(pc).StallCycles++
+	}
+}
+
+func (mapProfile) Redirect(uint64, int, int64)      {}
+func (mapProfile) Bind(uint64, int, int, int64)     {}
+func (mapProfile) Trap(uint64, int, int, int64)     {}
+func (mapProfile) Rotate(uint64, []int)             {}
+func (mapProfile) ThreadEnd(uint64, int, int, bool) {}
+
+// rows lists the reference rows in pc order.
+func (m mapProfile) rows() []obs.PCStat {
+	out := make([]obs.PCStat, 0, len(m))
+	for _, st := range m {
+		out = append(out, *st)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
+	return out
+}
+
+// killedWaiterSrc forks a thread that stalls on a queue pop no thread ever
+// pushes, until its parent kills it: the pop's pc is charged stall cycles
+// and never issues.
+const killedWaiterSrc = `
+	ffork
+	qen  r20, r21
+	tid  r1
+	beqz r1, boss
+	mov  r5, r20
+	halt
+boss:	li   r3, 40
+wait:	addi r3, r3, -1
+	bnez r3, wait
+	kill
+	halt
+`
+
+// TestDenseProfileMatchesMapReference runs a 4-slot MinC program, a 4-copy
+// trace replay, whose pcs are stream positions, and a killed waiter with
+// the map-keyed reference beside a ring-less Collector: the Collector's
+// dense profile must list exactly the reference rows, in pc order, rows
+// that issued nothing (only stalls charged) included.
+func TestDenseProfileMatchesMapReference(t *testing.T) {
+	cfg := MTConfig{ThreadSlots: 4, LoadStoreUnits: 2, StandbyStations: true}
+	src, err := os.ReadFile(filepath.Join("examples", "programs", "mandel.mc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mandel, err := CompileMinC(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mandel.NewMemory(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetMinCThreads(mandel, m, cfg.ThreadSlots)
+	fib := loadProgram(t, "fib.s")
+	fm, err := fib.NewMemory(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := RecordTrace(fib.Text, fm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiter, err := Assemble(killedWaiterSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wm, err := waiter.NewMemory(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		run       func(RunOptions) (MTResult, error)
+		issueless bool // must have a row that never issued
+	}{
+		{"mandel.mc", func(opt RunOptions) (MTResult, error) { return Run(cfg, mandel.Text, m, opt) }, false},
+		{"fib.trace", func(opt RunOptions) (MTResult, error) {
+			return ReplayTraces(cfg, [][]TraceRecord{recs, recs, recs, recs}, opt)
+		}, false},
+		{"killed-waiter", func(opt RunOptions) (MTResult, error) {
+			return Run(MTConfig{ThreadSlots: 2, StandbyStations: true}, waiter.Text, wm, opt)
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col, ref := NewCollector(cfg, CollectorOptions{}), mapProfile{}
+			res, err := tc.run(RunOptions{Observers: []Observer{MultiObserver{col, ref}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := col.Profile(), ref.rows()
+			if !reflect.DeepEqual(got.PCs, want) {
+				t.Fatalf("dense profile has %d rows, the map reference %d; first difference at %d",
+					len(got.PCs), len(want), firstDiff(got.PCs, want))
+			}
+			if got.TotalIssues != res.Instructions {
+				t.Errorf("profile counts %d issues, run issued %d", got.TotalIssues, res.Instructions)
+			}
+			issueless := 0
+			for _, st := range want {
+				if st.Issues == 0 {
+					issueless++
+				}
+			}
+			if tc.issueless && issueless == 0 {
+				t.Error("no profile row without issues: the case no longer covers stall-only rows")
+			}
+		})
+	}
+}
+
+func firstDiff(a, b []obs.PCStat) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
 }

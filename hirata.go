@@ -267,12 +267,15 @@ type (
 	Observer = core.Observer
 	// MultiObserver fans events out to several observers.
 	MultiObserver = core.MultiObserver
-	// Collector records events into a bounded ring and aggregates a per-PC
-	// hotspot profile and interval metrics; it exports Chrome Trace Event
-	// JSON (Perfetto), Prometheus text format, and annotated profiles.
+	// Collector aggregates run totals, a per-PC hotspot profile, interval
+	// metrics and the CPI stack, and exports Prometheus text format and
+	// annotated profiles. Built with a RingCapacity, it also records
+	// events into a bounded ring, which the Chrome Trace Event JSON
+	// (Perfetto), critical-path and unit/standby what-if exports replay.
 	Collector = obs.Collector
-	// CollectorOptions configure a Collector (ring capacity, metrics
-	// interval, stall-event retention).
+	// CollectorOptions configure a Collector: ring capacity (the zero
+	// value keeps no ring; pass DefaultRingCapacity to replay events),
+	// metrics interval and stall-event retention.
 	CollectorOptions = obs.Options
 	// Profile is a per-PC hotspot profile extracted from a Collector.
 	Profile = obs.Profile
@@ -292,9 +295,13 @@ type (
 	WhatIfEstimate = obs.Estimate
 )
 
-// ParseWhatIfScenario parses a what-if scenario string such as "+1 alu",
-// "+1 ls", "+1 slot" or "+1 standby".
-func ParseWhatIfScenario(s string) (WhatIfScenario, error) { return obs.ParseScenario(s) }
+// DefaultRingCapacity is the event ring size, in events, for a Collector
+// whose events are replayed.
+const DefaultRingCapacity = obs.DefaultRingCapacity
+
+// ParseWhatIfScenarios parses a comma-separated list of what-if scenarios
+// such as "+1 alu", "+1 ls", "+1 slot" or "+1 standby".
+func ParseWhatIfScenarios(list string) ([]WhatIfScenario, error) { return obs.ParseScenarios(list) }
 
 // FormatWhatIfEstimates renders what-if estimates as an aligned text block.
 func FormatWhatIfEstimates(ests []WhatIfEstimate) string { return obs.FormatEstimates(ests) }

@@ -58,12 +58,20 @@ func BenchmarkRunNoObserver(b *testing.B) {
 	benchRun(b, nil)
 }
 
-// BenchmarkRunCollector measures the full observability tax: ring-buffer
-// event capture, per-PC profile and interval metrics.
+// BenchmarkRunCollector measures the observability tax: per-PC profile,
+// interval metrics and CPI accounting, with (/ring) and without (/no-ring)
+// event capture into the default ring.
 func BenchmarkRunCollector(b *testing.B) {
-	benchRun(b, func(p *core.Processor) *obs.Collector {
-		c := obs.NewCollector(core.Config{ThreadSlots: 2}, obs.Options{MetricsInterval: 64})
-		p.Observe(c)
-		return c
-	})
+	for _, bc := range []struct {
+		name string
+		ring int
+	}{{"ring", obs.DefaultRingCapacity}, {"no-ring", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			benchRun(b, func(p *core.Processor) *obs.Collector {
+				c := obs.NewCollector(core.Config{ThreadSlots: 2}, obs.Options{MetricsInterval: 64, RingCapacity: bc.ring})
+				p.Observe(c)
+				return c
+			})
+		})
+	}
 }

@@ -61,6 +61,11 @@ type interAnalysis struct {
 	// maxPush[class][ctx][pc] / minPop[class][ctx][pc]: queue operation
 	// counts on paths from the context's entry to pc (before executing pc).
 	maxPush, minPop [2][][]int
+
+	// in backs the per-block in-states of the context being analysed.
+	// runAll replays each context before it runs the next, so one slice
+	// serves every context of every round.
+	in []astate
 }
 
 // interCtx is the fixpoint state of one thread entry (context).
@@ -70,10 +75,14 @@ type interCtx struct {
 	in  []astate // per-block in-state; bot = not reached in this context
 }
 
-// runCtx computes the per-block fixpoint for one entry.
+// runCtx computes the per-block fixpoint for one entry. The in-states it
+// returns live in ia.in, which the next runCtx call overwrites.
 func (ia *interAnalysis) runCtx(ctxIdx, entryPC int, budget *int) *interCtx {
 	g := ia.a.g
-	ic := &interCtx{ia: ia, ctx: ctxIdx, in: make([]astate, len(g.blocks))}
+	if len(ia.in) != len(g.blocks) {
+		ia.in = make([]astate, len(g.blocks))
+	}
+	ic := &interCtx{ia: ia, ctx: ctxIdx, in: ia.in}
 	for i := range ic.in {
 		ic.in[i] = botState()
 	}

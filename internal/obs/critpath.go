@@ -381,10 +381,13 @@ func (b *critBuilder) threadEnd(e Event) {
 }
 
 // CritPath reconstructs the dynamic dependence graph from the event ring
-// and extracts the critical path. It refuses to run on a truncated window:
-// with dropped events the graph would silently miss edges and the "path"
-// would be fiction.
+// and extracts the critical path. It refuses to run without a ring or on
+// a truncated window: with dropped events the graph would silently miss
+// edges and the "path" would be fiction.
 func (c *Collector) CritPath() (CritPath, error) {
+	if c.ring.capacity <= 0 {
+		return CritPath{}, errNoRing
+	}
 	c.mu.Lock()
 	events := c.eventsLocked()
 	dropped := c.dropped

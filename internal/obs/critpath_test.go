@@ -3,7 +3,7 @@ package obs
 // Critical-path invariants on the fib example: the reconstructed graph
 // covers every issued instruction, the path is non-empty and bounded by
 // the run length, the breakdown decomposes the path cycles exactly, and
-// the analysis refuses to run on a truncated event ring.
+// the analysis refuses to run on a truncated event ring or without one.
 
 import (
 	"bytes"
@@ -13,7 +13,7 @@ import (
 )
 
 func TestCritPathFib(t *testing.T) {
-	c, res, prog := runFib(t, Options{})
+	c, res, prog := runFib(t, Options{RingCapacity: DefaultRingCapacity})
 	cp, err := c.CritPath()
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +85,8 @@ func TestCritPathFib(t *testing.T) {
 }
 
 func TestCritPathDeterministic(t *testing.T) {
-	c1, _, _ := runFib(t, Options{})
-	c2, _, _ := runFib(t, Options{})
+	c1, _, _ := runFib(t, Options{RingCapacity: DefaultRingCapacity})
+	c2, _, _ := runFib(t, Options{RingCapacity: DefaultRingCapacity})
 	cp1, err := c1.CritPath()
 	if err != nil {
 		t.Fatal(err)

@@ -43,12 +43,13 @@ type RunsSource interface {
 //	/hostmetrics Prometheus exposition of the simulator's own execution
 //	/debug/pprof/... the standard Go profiler endpoints
 //
-// prog supplies the profiler's source-line map and may be nil. host backs
-// /hostmetrics; runs backs /runs, /runs/<sel> and the hirata_runledger_*
-// series appended to /metrics. A nil source serves 503 on its endpoints
-// (for host: the run was started without -self-profile). The collector is
-// written by the simulation loop concurrently; every handler works from a
-// consistent snapshot.
+// /trace.json and /critpath.json replay the event ring and serve 503 when
+// c keeps none. prog supplies the profiler's source-line map and may be
+// nil. host backs /hostmetrics; runs backs /runs, /runs/<sel> and the
+// hirata_runledger_* series appended to /metrics. A nil source serves 503
+// on its endpoints (for host: the run was started without -self-profile).
+// The collector is written by the simulation loop concurrently; every
+// handler works from a consistent snapshot.
 func Handler(c *Collector, prog *asm.Program, host HostSource, runs RunsSource) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -86,6 +87,10 @@ func Handler(c *Collector, prog *asm.Program, host HostSource, runs RunsSource) 
 		}
 	})
 	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, r *http.Request) {
+		if c.ring.capacity <= 0 {
+			http.Error(w, errNoRing.Error(), http.StatusServiceUnavailable)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="hirata-trace.json"`)
 		if err := c.WriteChromeTrace(w); err != nil {
@@ -107,8 +112,8 @@ func Handler(c *Collector, prog *asm.Program, host HostSource, runs RunsSource) 
 	mux.HandleFunc("/critpath.json", func(w http.ResponseWriter, r *http.Request) {
 		cp, err := c.CritPath()
 		if err != nil {
-			// The ring dropped events; the analysis refuses rather than
-			// serving a fictional path.
+			// There is no ring, or it dropped events; the analysis
+			// refuses rather than serving a fictional path.
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}

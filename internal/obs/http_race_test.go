@@ -26,21 +26,26 @@ loop:	addi r2, r1, 7
 `
 
 // TestHTTPEndpointsDuringLiveRun runs the loop (about 73k ring events)
-// with the default ring, which it never fills, and with a ring smaller
-// than the run and not a whole number of chunks, so the /trace.json and
-// /critpath.json readers also race chunk allocation and the wrap.
+// with the default ring, which it never fills, with a ring smaller than
+// the run and not a whole number of chunks, so the /trace.json and
+// /critpath.json readers also race chunk allocation and the wrap, and
+// with no ring, where those two endpoints refuse with 503.
 func TestHTTPEndpointsDuringLiveRun(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opt  Options
 	}{
-		{"default-ring", Options{MetricsInterval: 64}},
+		{"default-ring", Options{MetricsInterval: 64, RingCapacity: DefaultRingCapacity}},
 		{"wrapping-ring", Options{MetricsInterval: 64, RingCapacity: 3*ringChunk + 5}},
+		{"no-ring", Options{MetricsInterval: 64}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { liveRunEndpoints(t, tc.opt) })
 	}
 }
 
+// liveRunEndpoints requires 200 from every endpoint during the run, except
+// that /trace.json and /critpath.json answer 503 without a ring, and
+// /critpath.json may answer 503 once the ring has dropped events.
 func liveRunEndpoints(t *testing.T, opt Options) {
 	prog, err := asm.Assemble(liveLoopSrc)
 	if err != nil {
@@ -87,10 +92,15 @@ func liveRunEndpoints(t *testing.T, opt Options) {
 					return
 				}
 				defer resp.Body.Close()
-				// /critpath.json may legitimately refuse (503) if the ring
-				// dropped events; everything else must answer 200.
-				if resp.StatusCode != http.StatusOK &&
-					!(path == "/critpath.json" && resp.StatusCode == http.StatusServiceUnavailable) {
+				replays := path == "/trace.json" || path == "/critpath.json"
+				ok := resp.StatusCode == http.StatusOK
+				switch {
+				case opt.RingCapacity <= 0 && replays:
+					ok = resp.StatusCode == http.StatusServiceUnavailable
+				case path == "/critpath.json":
+					ok = ok || resp.StatusCode == http.StatusServiceUnavailable
+				}
+				if !ok {
 					body, _ := io.ReadAll(resp.Body)
 					t.Errorf("GET %s during live run: %d: %s", path, resp.StatusCode, body)
 					return
@@ -110,7 +120,7 @@ func liveRunEndpoints(t *testing.T, opt Options) {
 		t.Fatal(err)
 	}
 
-	if opt.RingCapacity > 0 && c.Dropped() == 0 {
+	if wraps := opt.RingCapacity > 0 && opt.RingCapacity < DefaultRingCapacity; wraps && c.Dropped() == 0 {
 		t.Errorf("a %d-event ring never wrapped: the run no longer outgrows it", opt.RingCapacity)
 	}
 

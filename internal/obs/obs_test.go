@@ -60,7 +60,7 @@ func runFib(t *testing.T, opt Options) (*Collector, core.Result, *asm.Program) {
 // ph/ts/pid/tid), one named track per functional unit and per slot, and a
 // profile that attributes every issued instruction to a source line.
 func TestPerfettoGoldenFib(t *testing.T) {
-	opt := Options{MetricsInterval: 64}
+	opt := Options{MetricsInterval: 64, RingCapacity: DefaultRingCapacity}
 	c, res, prog := runFib(t, opt)
 	var out bytes.Buffer
 	if err := c.WriteChromeTrace(&out); err != nil {
@@ -301,7 +301,7 @@ func TestAssignLanes(t *testing.T) {
 }
 
 func TestHandlerEndpoints(t *testing.T) {
-	c, _, prog := runFib(t, Options{MetricsInterval: 50})
+	c, _, prog := runFib(t, Options{MetricsInterval: 50, RingCapacity: DefaultRingCapacity})
 	srv := httptest.NewServer(Handler(c, prog, nil, nil))
 	defer srv.Close()
 

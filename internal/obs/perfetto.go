@@ -80,8 +80,12 @@ type slotSpan struct {
 
 // WriteChromeTrace exports the collector's ring buffer as Chrome Trace
 // Event JSON, viewable directly in ui.perfetto.dev. Dropped ring events
-// truncate the timeline's beginning, never its structure.
+// truncate the timeline's beginning, never its structure. A collector
+// that keeps no ring writes nothing and returns an error.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
+	if c.ring.capacity <= 0 {
+		return errNoRing
+	}
 	c.mu.Lock()
 	events := c.eventsLocked()
 	samples := make([]Sample, len(c.samples))

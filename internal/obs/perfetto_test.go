@@ -68,7 +68,7 @@ func BenchmarkWriteChromeTrace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := NewCollector(cfg, Options{KeepStallEvents: true})
+	c := NewCollector(cfg, Options{KeepStallEvents: true, RingCapacity: DefaultRingCapacity})
 	p.Observe(c)
 	if err := p.StartThread(0); err != nil {
 		b.Fatal(err)

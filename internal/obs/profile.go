@@ -18,24 +18,29 @@ type Profile struct {
 	TotalIssues uint64
 	TotalBusy   uint64
 	TotalStalls uint64
-	// Dropped counts ring-buffer drops. The profile itself aggregates
-	// incrementally and stays exact; the field surfaces that event-replay
-	// views (Chrome trace, critical path) of the same run are truncated.
+	// Dropped counts ring-buffer drops (0 without a ring). The profile
+	// itself aggregates incrementally and stays exact; the field surfaces
+	// that event-replay views (Chrome trace, critical path) of the same
+	// run are truncated.
 	Dropped uint64
 }
 
-// Profile snapshots the collector's per-PC attribution.
+// Profile snapshots the collector's per-PC attribution: one row per pc
+// that issued, selected, completed or was charged a stall, in pc order.
 func (c *Collector) Profile() Profile {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := Profile{PCs: make([]PCStat, 0, len(c.profile)), Dropped: c.dropped}
-	for _, st := range c.profile {
-		p.PCs = append(p.PCs, *st)
+	p := Profile{Dropped: c.dropped}
+	for pc, st := range c.profile {
+		if st.Issues == 0 && st.Selects == 0 && st.Completes == 0 && st.StallCycles == 0 {
+			continue
+		}
+		st.PC = int64(pc)
+		p.PCs = append(p.PCs, st)
 		p.TotalIssues += st.Issues
 		p.TotalBusy += st.BusyCycles
 		p.TotalStalls += st.StallCycles
 	}
-	sort.Slice(p.PCs, func(i, j int) bool { return p.PCs[i].PC < p.PCs[j].PC })
 	return p
 }
 

@@ -49,7 +49,8 @@ func (r *record) event() Event {
 // chunk is allocated when the write position first reaches it (the last one
 // sized to what is left of the capacity), so growth never copies and
 // capacity a run never reaches costs nothing. Once full, each write
-// overwrites the oldest record in place.
+// overwrites the oldest record in place. A capacity of zero or less keeps
+// nothing, and the collector does not push to it.
 type eventRing struct {
 	chunks   [][]record
 	capacity int
@@ -71,8 +72,11 @@ func (r *eventRing) push(rec record) (dropped bool) {
 	return dropped
 }
 
-// events decodes the ring oldest first.
+// events decodes the ring oldest first: nil for a ring of capacity zero.
 func (r *eventRing) events() []Event {
+	if r.capacity <= 0 {
+		return nil
+	}
 	n, pos := r.next, 0
 	if r.full {
 		n, pos = r.capacity, r.next

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hirata/internal/core"
@@ -141,12 +144,9 @@ func TestEventRingMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCollectorRingBytesPerEvent bounds what recording costs in the heap:
-// a default Collector stores 2^20 events in 32 bytes each, with nothing
-// copied as the ring grows.
-func TestCollectorRingBytesPerEvent(t *testing.T) {
-	const n = 1 << 20
-	c := NewCollector(core.Config{ThreadSlots: 2}, Options{})
+// feedIssueSelectComplete feeds c n Issue/Select/Complete events over
+// pcs 0..63 on two slots and returns the bytes allocated per event.
+func feedIssueSelectComplete(c *Collector, n int) float64 {
 	ins := isa.Instruction{Op: isa.ADDI, Rd: isa.R1, Rs1: isa.R1, Imm: 1}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -162,12 +162,73 @@ func TestCollectorRingBytesPerEvent(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestCollectorRingBytesPerEvent bounds what recording costs in the heap:
+// a Collector with the default ring stores 2^20 events in 32 bytes each,
+// with nothing copied as the ring grows.
+func TestCollectorRingBytesPerEvent(t *testing.T) {
+	const n = 1 << 20
+	c := NewCollector(core.Config{ThreadSlots: 2}, Options{RingCapacity: DefaultRingCapacity})
+	per := feedIssueSelectComplete(c, n)
 	if c.Dropped() != 0 {
 		t.Fatalf("default ring dropped %d of %d events", c.Dropped(), n)
 	}
-	per := float64(after.TotalAlloc-before.TotalAlloc) / n
+	if got := len(c.Events()); got != n {
+		t.Fatalf("ring holds %d events, want %d", got, n)
+	}
 	t.Logf("recording allocated %.2f bytes per event", per)
 	if per > 33 {
 		t.Errorf("recording allocated %.1f bytes per event, want at most 33", per)
+	}
+}
+
+// TestRinglessCollectorAllocFree: a Collector without a ring allocates
+// nothing per event once its profile table covers the pcs it sees.
+func TestRinglessCollectorAllocFree(t *testing.T) {
+	c := NewCollector(core.Config{ThreadSlots: 2}, Options{})
+	feedIssueSelectComplete(c, 3*64) // warm: grow the profile to 64 rows
+	const n = 1 << 20
+	per := feedIssueSelectComplete(c, n)
+	t.Logf("a ring-less collector allocated %.4f bytes per event", per)
+	if per >= 0.01 {
+		t.Errorf("a ring-less collector allocated %.3f bytes per event, want under 0.01", per)
+	}
+	if c.Events() != nil || c.Dropped() != 0 {
+		t.Errorf("a ring-less collector kept %d events and dropped %d", len(c.Events()), c.Dropped())
+	}
+	if got := c.TotalsSnapshot().Issues; got != (n+3*64+2)/3 {
+		t.Errorf("counted %d issues, want %d", got, (n+3*64+2)/3)
+	}
+}
+
+// TestRinglessCollectorRefusesReplays: without a ring, the exports that
+// replay events refuse with an error naming RingCapacity instead of
+// answering from an empty ring, while the aggregates still answer.
+func TestRinglessCollectorRefusesReplays(t *testing.T) {
+	c, res, _ := runFib(t, Options{})
+	if c.Events() != nil || c.Dropped() != 0 {
+		t.Fatalf("a ring-less collector kept %d events and dropped %d", len(c.Events()), c.Dropped())
+	}
+	var buf bytes.Buffer
+	refusals := map[string]error{"WriteChromeTrace": c.WriteChromeTrace(&buf)}
+	_, refusals["CritPath"] = c.CritPath()
+	_, refusals["unit WhatIf"] = c.WhatIf(Scenario{Kind: "unit", Unit: isa.UnitIntALU, Label: "+1 IntALU"})
+	_, refusals["standby WhatIf"] = c.WhatIf(Scenario{Kind: "standby", Label: "+1 standby depth"})
+	for name, err := range refusals {
+		if !errors.Is(err, errNoRing) || !strings.Contains(err.Error(), "RingCapacity") {
+			t.Errorf("%s on a ring-less collector: err = %v, want the RingCapacity refusal", name, err)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("refused WriteChromeTrace wrote %d bytes", buf.Len())
+	}
+	est, err := c.WhatIf(Scenario{Kind: "slot", Label: "+1 thread slot"})
+	if err != nil || est.Baseline != res.Cycles {
+		t.Errorf("+1 slot what-if on a ring-less collector = %+v, %v; want an answer over %d cycles", est, err, res.Cycles)
+	}
+	if p := c.Profile(); p.TotalIssues != res.Instructions {
+		t.Errorf("profile counted %d issues, want %d", p.TotalIssues, res.Instructions)
 	}
 }

@@ -74,9 +74,9 @@ type Estimate struct {
 }
 
 // WhatIf estimates the scenario's effect on this run. Unit and standby
-// scenarios need the event ring intact (they go through CritPath and
-// inherit its dropped-events refusal); the slot scenario needs only the
-// exact incremental accounting.
+// scenarios need the event ring, kept and intact (they go through CritPath
+// and inherit its refusals); the slot scenario needs only the exact
+// incremental accounting.
 func (c *Collector) WhatIf(sc Scenario) (Estimate, error) {
 	baseline := c.Cycles()
 	est := Estimate{Scenario: sc.Label, Baseline: baseline, High: baseline}
@@ -118,9 +118,10 @@ func (c *Collector) WhatIf(sc Scenario) (Estimate, error) {
 	return est, nil
 }
 
-// WhatIfAll parses and estimates a comma-separated scenario list.
-func (c *Collector) WhatIfAll(list string) ([]Estimate, error) {
-	var out []Estimate
+// ParseScenarios parses a comma-separated scenario list; empty entries
+// are skipped.
+func ParseScenarios(list string) ([]Scenario, error) {
+	var out []Scenario
 	for _, part := range strings.Split(list, ",") {
 		if strings.TrimSpace(part) == "" {
 			continue
@@ -129,6 +130,19 @@ func (c *Collector) WhatIfAll(list string) ([]Estimate, error) {
 		if err != nil {
 			return nil, err
 		}
+		out = append(out, sc)
+	}
+	return out, nil
+}
+
+// WhatIfAll parses and estimates a comma-separated scenario list.
+func (c *Collector) WhatIfAll(list string) ([]Estimate, error) {
+	scs, err := ParseScenarios(list)
+	if err != nil {
+		return nil, err
+	}
+	var out []Estimate
+	for _, sc := range scs {
 		est, err := c.WhatIf(sc)
 		if err != nil {
 			return nil, err

@@ -48,7 +48,7 @@ func TestParseScenario(t *testing.T) {
 }
 
 func TestWhatIfBoundsFib(t *testing.T) {
-	c, res, _ := runFib(t, Options{})
+	c, res, _ := runFib(t, Options{RingCapacity: DefaultRingCapacity})
 	ests, err := c.WhatIfAll("+1 alu, +1 ls, +1 slot, +1 standby")
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +91,10 @@ func TestWhatIfRefusesDroppedEvents(t *testing.T) {
 }
 
 func TestWhatIfAllRejectsUnknown(t *testing.T) {
-	c, _, _ := runFib(t, Options{})
+	c, _, _ := runFib(t, Options{RingCapacity: DefaultRingCapacity})
 	if _, err := c.WhatIfAll("+1 alu, +1 warp"); err == nil {
 		t.Error("WhatIfAll accepted an unknown scenario in the list")
+	} else if !strings.Contains(err.Error(), "unknown what-if scenario") || !strings.Contains(err.Error(), "warp") {
+		t.Errorf("WhatIfAll refused the list for another reason: %v", err)
 	}
 }

@@ -31,7 +31,7 @@ func rayTraceObserved(t *testing.T, cfg core.Config) (*Collector, MTResult, *Ray
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCollector(cfg, CollectorOptions{})
+	c := NewCollector(cfg, CollectorOptions{RingCapacity: DefaultRingCapacity})
 	res, err := Run(cfg, rt.Par.Text, m, RunOptions{Observers: []Observer{c}})
 	if err != nil {
 		t.Fatal(err)
