@@ -125,6 +125,10 @@ func Write(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
+// MaxRecords caps the record count a trace file may declare; Read refuses
+// a larger one.
+const MaxRecords = 1 << 30
+
 // Read deserialises a trace written by Write.
 func Read(r io.Reader) ([]Record, error) {
 	br := bufio.NewReader(r)
@@ -142,8 +146,7 @@ func Read(r io.Reader) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading count: %w", err)
 	}
-	const maxRecords = 1 << 30
-	if count > maxRecords {
+	if count > MaxRecords {
 		return nil, fmt.Errorf("trace: implausible record count %d", count)
 	}
 	// The count is untrusted until the records arrive: preallocate at most
