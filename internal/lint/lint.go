@@ -86,6 +86,8 @@ type analysis struct {
 	queueReads  []queueUse
 	queueWrites []queueUse
 
+	inter *interAnalysis // the cross-thread analysis, when it ran
+
 	diags []Diagnostic
 }
 
@@ -99,6 +101,12 @@ func Analyze(p *asm.Program) []Diagnostic {
 // directives are honoured: `.lint slots N` sets ThreadSlots when the
 // config leaves it unset, and `.lint allow CODE...` extends Allow.
 func AnalyzeProgram(p *asm.Program, cfg Config) []Diagnostic {
+	_, ds := analyzeProgram(p, cfg)
+	return ds
+}
+
+// analyzeProgram is AnalyzeProgram returning the finished analysis too.
+func analyzeProgram(p *asm.Program, cfg Config) (*analysis, []Diagnostic) {
 	if cfg.ThreadSlots == 0 && p.LintSlots > 0 {
 		cfg.ThreadSlots = p.LintSlots
 	}
@@ -106,7 +114,7 @@ func AnalyzeProgram(p *asm.Program, cfg Config) []Diagnostic {
 		cfg.Allow = append(cfg.Allow, Code(c))
 	}
 	a := &analysis{text: p.Text, lines: p.Line, cfg: cfg, prog: p}
-	return a.run()
+	return a, a.run()
 }
 
 // AnalyzeText verifies a bare instruction sequence (no source positions).
