@@ -41,6 +41,25 @@ put:	li   r6, 7
 	jr   r31
 `
 
+// queueCallSrc is callLoopSrc in a program that maps the queue ring, so
+// a call may return with the queues remapped.
+const queueCallSrc = `	.data
+out:	.space 4
+	.text
+	qen  r20, r21
+	li   r4, 0
+loop:	jal  r31, put
+	addi r4, r4, 1
+	slti r5, r4, 4
+	bnez r5, loop
+	qdis
+	halt
+put:	li   r6, 7
+	la   r8, out
+	sw   r6, 0(r8)
+	jr   r31
+`
+
 // sparseForkSrc is a doall loop whose pointer and counter sit in r29
 // and r3, so the registers it names are not a prefix of the file.
 const sparseForkSrc = `	.data
@@ -60,7 +79,8 @@ loop:	sw   r3, 0(r29)
 
 // factsCorpus returns the programs whose cross-thread facts are pinned:
 // the examples at the benchmark's machine shapes, the hirata-lint
-// fixtures, every workload generator and two register-layout fixtures.
+// fixtures, every workload generator, two call fixtures (one mapping the
+// queues) and a register-layout fixture.
 func factsCorpus(t *testing.T) []factsCase {
 	t.Helper()
 	var cases []factsCase
@@ -129,7 +149,7 @@ func factsCorpus(t *testing.T) []factsCase {
 	})
 
 	for _, f := range []struct{ name, src string }{
-		{"call-loop", callLoopSrc}, {"sparse-fork", sparseForkSrc},
+		{"call-loop", callLoopSrc}, {"queue-call", queueCallSrc}, {"sparse-fork", sparseForkSrc},
 	} {
 		p, err := asm.Assemble(f.src)
 		check(err)
