@@ -1142,7 +1142,9 @@ func (ic *interCtx) edgeState(tmp, out *astate, e edge, last isa.Instruction) *a
 			tmp.dv[i*n+i] = 0
 		}
 		clear(tmp.rel)
-		tmp.q = unknownQ()
+		if ic.ia.remapsQ {
+			tmp.q = unknownQ() // the callee may have remapped the queues
+		}
 		return tmp
 	}
 	if e.br != brNone && last.Op.IsConditionalBranch() {

@@ -53,6 +53,7 @@ type interAnalysis struct {
 	storeAddrs []aval         // tid-folded store address sets, for const folding
 	brMask     map[int]int    // per conditional-branch pc: 1 fall, 2 taken, 4 undecided
 	qUncertain [2]bool        // queue mapping went unknown: disable HB per class
+	remapsQ    bool           // the text holds a qen, qenf or qdis
 	gaveUp     bool           // fixpoint budget exhausted: suppress all reports
 	thresholds map[int64]bool // constants compared against: widening stops
 

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"hirata/internal/asm"
+	"hirata/internal/isa"
 )
 
 // isThreadCountSym reports whether a data label holds the thread count:
@@ -35,6 +36,9 @@ func (a *analysis) runInterThread() {
 	if n := int64(len(a.cfg.entries())); n > ia.threads {
 		ia.threads = n
 	}
+	ia.remapsQ = slices.ContainsFunc(a.text, func(in isa.Instruction) bool {
+		return in.Op == isa.QEN || in.Op == isa.QENF || in.Op == isa.QDIS
+	})
 	ia.threadCountAddrs = map[int64]bool{}
 	if ia.prog != nil {
 		for name, v := range ia.prog.Symbols {
