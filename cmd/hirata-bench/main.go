@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		table   = flag.String("table", "all", "which table to run: 2, 3, 4, 5, or all")
+		table   = flag.String("table", "all", "which table to run: 2, 3, 4, 5, all, or none (only what other flags ask for)")
 		extras  = flag.Bool("extras", false, "run only the extension experiments")
 		rays    = flag.Int("rays", 240, "rays in the ray-tracing workload (Tables 2, 3)")
 		spheres = flag.Int("spheres", 12, "spheres in the ray-tracing scene")
@@ -62,6 +62,21 @@ func main() {
 		version         = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
+	switch *table {
+	case "2", "3", "4", "5", "all", "none":
+	default:
+		fmt.Fprintf(os.Stderr, "hirata-bench: -table must be 2, 3, 4, 5, all or none, got %q\n", *table)
+		os.Exit(2)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"rays", *rays}, {"spheres", *spheres}, {"n", *n}, {"nodes", *nodes}, {"parallel", *parallel}} {
+		if err := simcli.NonNegative(f.name, f.v); err != nil {
+			fmt.Fprintln(os.Stderr, "hirata-bench:", err)
+			os.Exit(2)
+		}
+	}
 	if *version {
 		fmt.Println("hirata-bench", hirata.Version())
 		return

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -85,6 +86,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	for _, f := range []struct {
+		name   string
+		v, max int64
+	}{
+		{"slots", int64(*slots), 64}, {"issue-width", int64(*width), 16},
+		{"queue-depth", int64(*qdepth), math.MaxInt64}, {"mem-size", *memSize, math.MaxInt64},
+	} {
+		switch {
+		case f.v < 0:
+			fmt.Fprintf(stderr, "hirata-lint: -%s must not be negative, got %d\n", f.name, f.v)
+			return 2
+		case f.v > f.max:
+			fmt.Fprintf(stderr, "hirata-lint: -%s must be at most %d, the core's maximum, got %d\n", f.name, f.max, f.v)
+			return 2
+		}
+	}
+
 	cfg := lint.Config{
 		QueueDepth:  *qdepth,
 		InterThread: *inter || *deadlock,
@@ -95,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *entries != "" {
 		for _, f := range strings.Split(*entries, ",") {
 			pc, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
+			if err != nil || pc < 0 {
 				fmt.Fprintf(stderr, "hirata-lint: bad -entries value %q\n", f)
 				return 2
 			}
@@ -143,6 +161,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "hirata-lint: %s: does not build: %v\n", file, err)
 			badInput = true
 			continue
+		}
+		for _, pc := range cfg.Entries {
+			if pc >= len(prog.Text) {
+				fmt.Fprintf(stderr, "hirata-lint: %s: -entries pc %d is past the program's %d instructions\n", file, pc, len(prog.Text))
+				return 2
+			}
 		}
 		for _, d := range lint.AnalyzeProgram(prog, cfg) {
 			report(file, d)

@@ -109,6 +109,38 @@ func TestInterThreadFlag(t *testing.T) {
 	}
 }
 
+// TestMalformedFlags: a negative or oversized machine number, or an entry
+// pc outside the 11-instruction fib.s, is one error line naming the flag
+// and exit 2; the largest accepted values lint the program.
+func TestMalformedFlags(t *testing.T) {
+	fib := filepath.Join("..", "..", "examples", "programs", "fib.s")
+	for _, tc := range []struct {
+		flag, value string
+		bad         bool
+	}{
+		{"slots", "-1", true}, {"slots", "100", true}, {"slots", "64", false},
+		{"issue-width", "-3", true}, {"issue-width", "17", true}, {"issue-width", "16", false},
+		{"queue-depth", "-2", true}, {"mem-size", "-5", true},
+		{"entries", "-4", true}, {"entries", "100", true}, {"entries", "0,11", true}, {"entries", "0,10", false},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			code, stdout, stderr := runLint(t, "-bound", "-"+tc.flag, tc.value, fib)
+			if !tc.bad {
+				if code == 2 || stderr != "" {
+					t.Errorf("exit %d, stderr %q; want the program linted", code, stderr)
+				}
+				return
+			}
+			if code != 2 || stdout != "" {
+				t.Errorf("exit %d with stdout %q, want exit 2 and no output", code, stdout)
+			}
+			if lines := strings.Split(strings.TrimSpace(stderr), "\n"); len(lines) != 1 || !strings.Contains(lines[0], "-"+tc.flag) {
+				t.Errorf("stderr = %q, want one line containing %q", stderr, "-"+tc.flag)
+			}
+		})
+	}
+}
+
 func TestMemSizeFlag(t *testing.T) {
 	// A store beyond a 16-word memory is only catchable when the size is
 	// declared.
