@@ -14,7 +14,9 @@ package hirata
 //     produce byte-identical output at any parallelism;
 //   - observing must be invisible: an observed run executes exactly as the
 //     bare run does, quiescent skipping included, and reports the event
-//     stream of the cycle-by-cycle reference.
+//     stream of the cycle-by-cycle reference;
+//   - on one slot the RISC baseline is an exact timing oracle for the
+//     multithreaded core (TestRISCTimingIdentity).
 
 import (
 	"bytes"
@@ -587,4 +589,98 @@ func firstDiff(a, b []obs.PCStat) int {
 		}
 	}
 	return len(a)
+}
+
+// TestRISCTimingIdentity checks the one-slot timing identity
+// (docs/ARCHITECTURE.md, "Timing contracts"). On one slot with issue width
+// 1 and no standby stations, a single-thread program obeys
+//
+//	cycles(MT) = cycles(RISC) + branches + 4 + 2·[a store precedes the final halt]
+//
+// where branches is the slot's branch count (the paper's 5- against
+// 4-cycle branch delay), 4 is the start-up offset (a lone halt takes 1
+// cycle on the RISC machine and 5 on the MT core), and the last term is
+// the MT core waiting for a store still in flight at halt, which the RISC
+// machine does not. The two machines share only exec.Execute and the
+// latency tables. Standby stations must never make the run slower.
+func TestRISCTimingIdentity(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("examples", "programs", "fib.s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fib, err := Assemble(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := BuildRayTrace(RayTraceConfig{Rays: 48, Spheres: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, err := BuildLivermore(LivermoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := BuildRecurrence(RecurrenceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ll, err := BuildLinkedList(LinkedListConfig{BreakAt: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		prog *Program
+		mem  func() (*Memory, error)
+	}{
+		{"fib.s", fib, func() (*Memory, error) { return fib.NewMemory(64) }},
+		{"raytrace", rt.Seq, func() (*Memory, error) { return rt.NewMemory(rt.Seq, 1) }},
+		{"lk1", lk.Seq, func() (*Memory, error) { return lk.Seq.NewMemory(64) }},
+		{"recurrence", rc.Seq, func() (*Memory, error) { return rc.NewMemory(rc.Seq, 1) }},
+		{"linkedlist", ll.Seq, func() (*Memory, error) { return ll.NewMemory(ll.Seq, 1) }},
+	} {
+		m, err := c.mem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := RecordTrace(c.prog.Text, m)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var storeAtHalt uint64
+		if n := len(recs); n >= 2 && recs[n-1].Ins.Op == isa.HALT && recs[n-2].Ins.Op.IsStore() {
+			storeAtHalt = 2
+		}
+		for _, ls := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/ls=%d", c.name, ls), func(t *testing.T) {
+				m, err := c.mem()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rres, err := RunRISC(RISCConfig{LoadStoreUnits: ls}, c.prog.Text, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mt := func(standby bool) MTResult {
+					m, err := c.mem()
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := RunMT(MTConfig{ThreadSlots: 1, IssueWidth: 1, LoadStoreUnits: ls, StandbyStations: standby}, c.prog.Text, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				bare, standby := mt(false), mt(true)
+				branches := bare.Slots[0].Branches
+				if want := rres.Cycles + branches + 4 + storeAtHalt; bare.Cycles != want {
+					t.Errorf("MT %d cycles, want RISC %d + %d branches + 4 + %d = %d", bare.Cycles, rres.Cycles, branches, storeAtHalt, want)
+				}
+				if standby.Cycles > bare.Cycles {
+					t.Errorf("standby stations slowed the run: %d cycles against %d", standby.Cycles, bare.Cycles)
+				}
+			})
+		}
+	}
 }
