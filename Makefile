@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet analyzers verify-examples lint-interthread lint-bounds fuzz fmt trace-demo profile cpi-demo explore-demo self-profile-demo bench-report bench bench-check bench-history report-demo
+.PHONY: all build test race lint vet analyzers verify-examples lint-interthread lint-bounds fuzz fmt trace-demo profile cpi-demo explore-demo self-profile-demo bench-report bench report-demo
 
 all: build test lint
 
@@ -89,8 +89,8 @@ explore-demo:
 # self-profile-demo turns the observability machinery on the simulator
 # itself (docs/OBSERVABILITY.md, "Host-level observability"): sampled
 # cycle-loop phase attribution, a host-side Perfetto timeline
-# (host-trace.json) and the JSON artifact (selfprofile.json) that
-# benchdiff -history embeds, on a CI-sized ray trace.
+# (host-trace.json) and the phase profile as JSON (selfprofile.json), on a
+# CI-sized ray trace.
 self-profile-demo:
 	$(GO) run ./cmd/hirata-bench -self-profile -rays 48 -spheres 6 -host-trace host-trace.json -self-profile-json selfprofile.json
 
@@ -102,32 +102,22 @@ PARALLEL ?= 0
 bench-report:
 	$(GO) run ./cmd/hirata-bench -parallel $(PARALLEL) -chrome-trace raytrace-trace.json -json > bench-report.json
 
-# bench runs the Go microbenchmarks the perf gate watches (docs/PERFORMANCE.md).
+# bench runs developer microbenchmarks of the simulator core and sweep
+# engine. They gate nothing: the CI perf gate is tools/abtest over perfbench
+# (docs/PERFORMANCE.md).
 BENCH_COUNT ?= 5
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSimulatorThroughput|BenchmarkRunNoObserver|BenchmarkConcurrentMTSingleRun|BenchmarkSweepParallel' -benchmem -count $(BENCH_COUNT) . ./internal/core | tee bench-out.txt
-
-# bench-check compares bench-out.txt against the committed BENCH_sweep.json
-# baseline and fails on a >10% ns/op regression.
-bench-check: bench
-	$(GO) run ./tools/benchdiff -baseline BENCH_sweep.json -in bench-out.txt
 
 # report-demo exercises cross-run observability end to end
 # (docs/OBSERVABILITY.md, "Cross-run observability"): record the standard
 # 8-slot ray trace under two configurations (1 vs 2 load/store units) into
 # a content-addressed ledger, print the exact cycle-delta attribution
-# between them, and the per-lineage trajectory. Re-running records nothing
-# new — identical runs dedup by content hash.
+# between them, and check every lineage for cycle-count shifts. Re-running
+# records nothing new — identical runs dedup by content hash.
 report-demo:
 	$(GO) run ./cmd/hirata-report record -ledger runs.ledger -tag ray8-ls1 -slots 8 -ls 1 -rays 48 -spheres 6
 	$(GO) run ./cmd/hirata-report record -ledger runs.ledger -tag ray8-ls2 -slots 8 -ls 2 -rays 48 -spheres 6
 	$(GO) run ./cmd/hirata-report ls -ledger runs.ledger
 	$(GO) run ./cmd/hirata-report diff -ledger runs.ledger
-	$(GO) run ./tools/benchdiff -trend -ledger runs.ledger
-
-# bench-history appends this bench run (with the self-profile phase
-# breakdown) to BENCH_history.jsonl and prints the cross-run trend
-# (docs/PERFORMANCE.md, "Benchmark history and host self-profiling").
-bench-history: self-profile-demo
-	$(GO) run ./tools/benchdiff -in bench-out.txt -history BENCH_history.jsonl -phases selfprofile.json
-	$(GO) run ./tools/benchdiff -trend
+	$(GO) run ./cmd/hirata-report regress -ledger runs.ledger

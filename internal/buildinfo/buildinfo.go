@@ -2,7 +2,7 @@
 // revision, dirty flag and Go toolchain version from
 // debug.ReadBuildInfo — so every exposition path (hirata_build_info on
 // /metrics and /hostmetrics, the -version flag of the CLIs, and each
-// BENCH_history.jsonl row) reports the same provenance for a measurement.
+// run-ledger record) reports the same provenance for a measurement.
 package buildinfo
 
 import (
@@ -72,7 +72,7 @@ func (i Info) String() string {
 }
 
 // ShortRevision returns the revision truncated to 12 characters, the form
-// recorded in BENCH_history.jsonl rows.
+// run-ledger records and the hirata_build_info metric carry.
 func (i Info) ShortRevision() string {
 	if len(i.Revision) > 12 {
 		return i.Revision[:12]

@@ -14,10 +14,9 @@ import (
 )
 
 // BenchmarkSimulatorThroughputSelfProfile is BenchmarkSimulatorThroughput
-// with the host profiler attached at the default 1/128 sampling: the
-// benchdiff gate and BENCH_history.jsonl track profiled throughput next to
-// plain throughput, so self-profiling overhead regressions show up as a
-// widening gap between the two.
+// with the host profiler attached at the default 1/128 sampling. Run beside
+// it (make bench runs both), a self-profiling overhead regression shows up
+// as a widening gap between the two.
 func BenchmarkSimulatorThroughputSelfProfile(b *testing.B) {
 	rt := benchSetup(b)
 	cfg := core.Config{ThreadSlots: 8, LoadStoreUnits: 2, StandbyStations: true}
@@ -53,8 +52,8 @@ func BenchmarkSimulatorThroughputSelfProfile(b *testing.B) {
 // scheduler noise only ever adds time. The interleaving also yields a
 // control: two independent best-of-N estimates of the *same* plain run.
 // When those disagree by more than 3%, the host cannot resolve a 5%
-// budget and the test skips — the self-profile benchmark and
-// BENCH_history.jsonl track the gap where a flaky gate cannot.
+// budget and the test skips rather than fail on noise; the two throughput
+// benchmarks show the gap where a flaky gate cannot.
 func TestSelfProfileOverheadWithinBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing assertion; skipped in -short")
