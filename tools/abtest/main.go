@@ -41,11 +41,11 @@ import (
 )
 
 // The run plan, chosen from an A/A run of one revision against itself
-// (docs/PERFORMANCE.md): with these, every A/A interval lay inside
-// 1±delta, and a 10% slowdown of the cycle loop failed table2.
+// (docs/PERFORMANCE.md): with these, no A/A interval lay beyond 1±delta,
+// and a slowdown of about 9% injected into the cycle loop failed table2.
 const (
-	pairs   = 10   // pairs of runs per workload; acceptance reads 9 wins in 10
-	seconds = 10   // benchmark seconds per run
+	pairs   = 16   // pairs of runs per workload; acceptance reads 9 wins in 10
+	seconds = 6    // benchmark seconds per run
 	delta   = 0.05 // how far past 1 an interval must lie to fail
 )
 
@@ -89,8 +89,10 @@ func run(ctx context.Context, dir string, revs []string, stdout, stderr io.Write
 		fmt.Fprintln(stderr, "usage: abtest BASE HEAD")
 		return 2
 	}
+	// git runs without ctx: removing the worktrees must work after an
+	// interrupt has cancelled it.
 	git := func(args ...string) (string, error) {
-		out, err := exec.CommandContext(ctx, "git", append([]string{"-C", dir}, args...)...).Output()
+		out, err := exec.Command("git", append([]string{"-C", dir}, args...)...).Output()
 		var ee *exec.ExitError
 		if errors.As(err, &ee) {
 			err = fmt.Errorf("git %s: %s", args[0], bytes.TrimSpace(ee.Stderr))
@@ -115,6 +117,12 @@ func run(ctx context.Context, dir string, revs []string, stdout, stderr io.Write
 	if err := json.Unmarshal([]byte(spec), &b); err != nil || len(b.Command) == 0 || len(b.Workloads) == 0 || len(b.EndToEnd) == 0 {
 		fmt.Fprintf(stderr, "abtest: BENCHMARK.json at %s names no command, workloads or end-to-end metrics (%v)\n", revs[0], err)
 		return 2
+	}
+	for _, m := range b.EndToEnd {
+		if m.Better != "lower" && m.Better != "higher" {
+			fmt.Fprintf(stderr, "abtest: BENCHMARK.json at %s: metric %s is better %q, want lower or higher\n", revs[0], m.Name, m.Better)
+			return 2
+		}
 	}
 	if _, err := git(append([]string{"diff", "--quiet", shas[0], shas[1], "--", "BENCHMARK.json"}, b.Paths...)...); err != nil {
 		fmt.Fprintf(stderr, "abtest: BENCHMARK.json or %s differs between %s and %s; a comparison needs identical benchmark code\n",
@@ -150,6 +158,7 @@ func run(ctx context.Context, dir string, revs []string, stdout, stderr io.Write
 	fmt.Fprintln(stdout, "| workload | metric | better | base | head | head/base | 95% interval | head wins | verdict |")
 	fmt.Fprintln(stdout, "|---|---|---|---|---|---|---|---|---|")
 	code := 0
+	first := b.EndToEnd[0].Name // shown in each run's progress line
 	for _, w := range b.Workloads {
 		var vals [2]map[string][]float64
 		var failed [2]int
@@ -159,12 +168,12 @@ func run(ctx context.Context, dir string, revs []string, stdout, stderr io.Write
 		}
 		for p := 0; p < pairs; p++ {
 			for _, side := range [][2]int{{0, 1}, {1, 0}}[p%2] {
-				fmt.Fprintf(stderr, "abtest: %s pair %d/%d %s\n", w.Name, p+1, pairs, [2]string{"base", "head"}[side])
 				r, err := runOnce(ctx, trees[side], b.Command, w.Name, p+1, env, stderr)
 				if err != nil {
 					fmt.Fprintln(stderr, "abtest:", err)
 					return 1
 				}
+				fmt.Fprintf(stderr, "abtest: %s pair %d/%d %s: %s %.4g\n", w.Name, p+1, pairs, [2]string{"base", "head"}[side], first, r.Metrics[first].Value)
 				incorrect = incorrect || !r.Correct
 				failed[side] += r.Failed
 				for _, m := range b.EndToEnd {

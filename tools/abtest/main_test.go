@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -114,18 +116,30 @@ echo "{\"correct\": $(cat correct), \"failed\": $(cat failed), \"metrics\": {\"w
 	failing := commit(map[string]string{"speed": "1\n", "failed": "1\n"})
 	wrong := commit(map[string]string{"failed": "0\n", "correct": "false\n"})
 	benchChanged := commit(map[string]string{"correct": "true\n", "bench/run.sh": "exit 1\n"})
+	badDirection := commit(map[string]string{"BENCHMARK.json": `{"command": ["sh", "bench/run.sh"], "paths": ["bench"],
+		"workloads": [{"name": "w"}], "end_to_end": [{"name": "wall_s", "better": "up"}]}`})
 
+	cleanedUp := func(t *testing.T) {
+		t.Helper()
+		if _, err := os.Stat(filepath.Join(dir, ".bench_build", "abtest", "base")); !os.IsNotExist(err) {
+			t.Errorf("base worktree left behind (%v)", err)
+		}
+		if list := git("worktree", "list"); strings.Count(list, "\n") != 0 {
+			t.Errorf("worktrees still registered:\n%s", list)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		revs []string
 		code int
 		out  string
 	}{
-		{"A/A", []string{base, base}, 0, "| w | wall_s | lower | 1 | 1 | 1.000 | [1.000, 1.000] | 0/10 | ok |"},
-		{"slower", []string{base, slower}, 1, "| w | wall_s | lower | 1 | 1.2 | 1.200 | [1.200, 1.200] | 0/10 | **worse** |"},
-		{"more failures", []string{base, failing}, 1, "| w | failed jobs | lower | 0 | 10 | | | | **more failures** |"},
+		{"A/A", []string{base, base}, 0, fmt.Sprintf("| w | wall_s | lower | 1 | 1 | 1.000 | [1.000, 1.000] | 0/%d | ok |", pairs)},
+		{"slower", []string{base, slower}, 1, fmt.Sprintf("| w | wall_s | lower | 1 | 1.2 | 1.200 | [1.200, 1.200] | 0/%d | **worse** |", pairs)},
+		{"more failures", []string{base, failing}, 1, fmt.Sprintf("| w | failed jobs | lower | 0 | %d | | | | **more failures** |", pairs)},
 		{"incorrect", []string{base, wrong}, 1, "| w | failed jobs | lower | 0 | 0 | | | | **incorrect output** |"},
 		{"benchmark differs", []string{base, benchChanged}, 2, ""},
+		{"unknown direction", []string{badDirection, badDirection}, 2, ""},
 		{"one revision", []string{base}, 2, ""},
 		{"unknown revision", []string{base, "no-such-rev"}, 2, ""},
 	} {
@@ -135,12 +149,15 @@ echo "{\"correct\": $(cat correct), \"failed\": $(cat failed), \"metrics\": {\"w
 			if code != tc.code || !strings.Contains(stdout.String(), tc.out) {
 				t.Errorf("exit %d, want %d; stdout:\n%s\nstderr:\n%s\nwant a line %q", code, tc.code, stdout.String(), stderr.String(), tc.out)
 			}
-			if _, err := os.Stat(filepath.Join(dir, ".bench_build", "abtest", "base")); !os.IsNotExist(err) {
-				t.Errorf("base worktree left behind (%v)", err)
-			}
-			if list := git("worktree", "list"); strings.Count(list, "\n") != 0 {
-				t.Errorf("worktrees still registered:\n%s", list)
-			}
+			cleanedUp(t)
 		})
 	}
+	t.Run("interrupted", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if code := run(ctx, dir, []string{base, base}, io.Discard, io.Discard); code != 1 {
+			t.Errorf("exit %d, want 1", code)
+		}
+		cleanedUp(t)
+	})
 }
