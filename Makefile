@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet analyzers verify-examples lint-interthread lint-bounds fuzz fmt trace-demo profile cpi-demo explore-demo self-profile-demo bench-report bench report-demo
+.PHONY: all build test race lint vet analyzers verify-examples lint-interthread lint-bounds fuzz fmt trace-demo profile cpi-demo explore-demo phase-profile bench-report bench report-demo
 
 all: build test lint
 
@@ -16,10 +16,8 @@ test:
 	$(GO) test ./...
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-# The self-profile overhead budget is skipped under -race, which would
-# time the race detector rather than the profiler; `make test` enforces it.
 race:
-	$(GO) test -race -skip '^TestSelfProfileOverheadWithinBudget$$' ./...
+	$(GO) test -race ./...
 
 # lint = every static check: go vet, the repository's custom Go analyzers,
 # and the program verifier over the shipped examples.
@@ -86,13 +84,13 @@ cpi-demo:
 explore-demo:
 	$(GO) run ./cmd/hirata-bench -explore -rays 48 -spheres 6 -n 50 -nodes 40 -explore-max-err 15 -explore-json explore-report.json
 
-# self-profile-demo turns the observability machinery on the simulator
-# itself (docs/OBSERVABILITY.md, "Host-level observability"): sampled
-# cycle-loop phase attribution, a host-side Perfetto timeline
-# (host-trace.json) and the phase profile as JSON (selfprofile.json), on a
-# CI-sized ray trace.
-self-profile-demo:
-	$(GO) run ./cmd/hirata-bench -self-profile -rays 48 -spheres 6 -host-trace host-trace.json -self-profile-json selfprofile.json
+# phase-profile attributes the cycle loop's host time to the phases of
+# stepCycle (docs/PERFORMANCE.md, "Per-phase host cost"): a CPU profile of
+# BenchmarkTable2 (cpu.out, with its test binary hirata.test), then pprof's
+# callers and callees of stepCycle and Run.
+phase-profile:
+	$(GO) test -run '^$$' -bench '^BenchmarkTable2$$' -benchtime 20x -cpuprofile cpu.out -o hirata.test .
+	$(GO) tool pprof -peek 'core\.\(\*Processor\)\.(stepCycle|Run)$$' hirata.test cpu.out
 
 # bench-report regenerates the JSON paper-reproduction report and records
 # the 8-slot ray-trace Perfetto timeline (CI uploads both as artifacts).

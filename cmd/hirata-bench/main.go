@@ -56,10 +56,7 @@ func main() {
 		ledgerPath = flag.String("ledger", "", "append every simulation this process runs (table cells, sweep workers, explore re-sims) to this content-addressed run ledger (inspect with hirata-report)")
 		runTag     = flag.String("run-tag", "", "lineage tag stored in recorded run records (with -ledger)")
 
-		selfProfile     = flag.Bool("self-profile", false, "profile the simulator itself on the representative 8-slot ray trace: sampled cycle-loop phase breakdown and event-horizon skip counts (docs/OBSERVABILITY.md)")
-		hostTrace       = flag.String("host-trace", "", "with -self-profile, write the host-side Chrome Trace Event JSON (cycle-loop phases + sweep workers) here")
-		selfProfileJSON = flag.String("self-profile-json", "", "with -self-profile, write the phase profile as JSON here")
-		version         = flag.Bool("version", false, "print build information and exit")
+		version = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
 	switch *table {
@@ -102,17 +99,6 @@ func main() {
 	}
 
 	rt := hirata.RayTraceConfig{Rays: *rays, Spheres: *spheres}
-	if *selfProfile {
-		if err := runSelfProfile(os.Stdout, rt, selfProfileOutputs{
-			tracePath: *hostTrace,
-			jsonPath:  *selfProfileJSON,
-			httpAddr:  *httpAddr,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "hirata-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *explore {
 		if err := runExplore(os.Stdout, rt, *n, *nodes, *exploreJSON, *exploreMaxErr); err != nil {
 			fmt.Fprintln(os.Stderr, "hirata-bench:", err)

@@ -201,9 +201,6 @@ func cmdLs(args []string) error {
 		if r.Bounds != nil {
 			secs = append(secs, "bounds")
 		}
-		if r.HostProfileDigest != "" {
-			secs = append(secs, "host")
-		}
 		fmt.Printf("%-14s %-14s %-12s %5d %10d %12d %6.3f %s\n",
 			runledger.ShortKey(e.Hash), runledger.ShortKey(r.Key), orNone(r.Tag),
 			len(r.Result.Slots), r.Result.Cycles, r.Result.Instructions, r.IPC(),

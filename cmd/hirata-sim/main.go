@@ -19,9 +19,9 @@
 //
 // On the multithreaded machine, -chrome-trace, -profile, -metrics-interval,
 // -http, -cpi-stack, -cpi-folded, -critpath, -critpath-json and -whatif
-// observe the run, -self-profile profiles the simulator itself, -record
-// appends the run to a ledger for hirata-report, and -static-check
-// verifies the program first (docs/OBSERVABILITY.md, docs/LINT.md).
+// observe the run, -record appends the run to a ledger for hirata-report,
+// and -static-check verifies the program first (docs/OBSERVABILITY.md,
+// docs/LINT.md).
 package main
 
 import (

@@ -102,10 +102,10 @@ func TestNegativeFlags(t *testing.T) {
 	}
 }
 
-// TestObservedProfiledRun drives the run with a Collector and the host
-// profiler attached: the CPI stack covers exactly the printed cycles.
+// TestObservedProfiledRun drives the run with a Collector attached: the
+// CPI stack covers exactly the printed cycles.
 func TestObservedProfiledRun(t *testing.T) {
-	stdout, stderr, code := sim(t, "-slots", "2", "-threads", "2", "-cpi-stack", "-self-profile", fibS)
+	stdout, stderr, code := sim(t, "-slots", "2", "-threads", "2", "-cpi-stack", fibS)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}

@@ -120,19 +120,16 @@ type Outputs struct {
 	CritPathJSON    string
 	WhatIf          string
 	Pipeline        bool
-	SelfProfile     bool
-	HostTrace       string
 	Record          string
 	RunTag          string
 
 	prog *hirata.Program
 	col  *hirata.Collector
-	prof *hirata.HostProfiler
 	led  *hirata.RunLedger
 	stop func() error
 }
 
-// Register adds the 14 observer and recording flags to fs.
+// Register adds the 12 observer and recording flags to fs.
 func (o *Outputs) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.ChromeTrace, "chrome-trace", "", "write a Chrome Trace Event JSON timeline to this file (load in ui.perfetto.dev)")
 	fs.BoolVar(&o.Profile, "profile", false, "print a per-PC hotspot report after the run")
@@ -144,8 +141,6 @@ func (o *Outputs) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.CritPathJSON, "critpath-json", "", "write the critical-path analysis as JSON to this file")
 	fs.StringVar(&o.WhatIf, "whatif", "", "comma-separated what-if scenarios to estimate, e.g. \"+1 alu,+1 ls,+1 slot\"")
 	fs.BoolVar(&o.Pipeline, "pipeline", false, "print a cycle-by-cycle pipeline event trace")
-	fs.BoolVar(&o.SelfProfile, "self-profile", false, "profile the simulator itself: print the sampled cycle-loop phase breakdown and event-horizon skip counts after the run (docs/OBSERVABILITY.md)")
-	fs.StringVar(&o.HostTrace, "host-trace", "", "with -self-profile, write the host-side Chrome Trace Event JSON here")
 	fs.StringVar(&o.Record, "record", "", "append the completed run to this content-addressed ledger file (inspect with hirata-report)")
 	fs.StringVar(&o.RunTag, "run-tag", "", "lineage tag stored in the run record (with -record)")
 }
@@ -198,11 +193,6 @@ func (o *Outputs) Start(cfg hirata.MTConfig, prog *hirata.Program, col *hirata.C
 	if o.Pipeline {
 		opt.Observers = append(opt.Observers, &hirata.TextTracer{W: o.Stdout})
 	}
-	var host hirata.HostSource
-	if o.SelfProfile {
-		o.prof = hirata.NewHostProfiler(hirata.HostProfilerOptions{})
-		opt.Host, host = o.prof, o.prof
-	}
 	var runs hirata.RunsSource
 	if o.Record != "" {
 		led, err := hirata.OpenRunLedger(o.Record)
@@ -213,7 +203,7 @@ func (o *Outputs) Start(cfg hirata.MTConfig, prog *hirata.Program, col *hirata.C
 		hirata.SetRunLedger(led, o.RunTag)
 	}
 	if o.HTTP != "" {
-		bound, stop, err := hirata.ServeObservability(o.HTTP, col, prog, host, runs)
+		bound, stop, err := hirata.ServeObservability(o.HTTP, col, prog, runs)
 		if err != nil {
 			return opt, err
 		}
@@ -225,9 +215,8 @@ func (o *Outputs) Start(cfg hirata.MTConfig, prog *hirata.Program, col *hirata.C
 
 // Finish writes every requested artifact of the finished run: the ledger
 // note, the timeline, the interval table, the profile, the CPI stack, the
-// critical path, the what-if estimates and the self-profile, in that
-// order. It then detaches the ledger, so a later run in the same process
-// is not recorded into it.
+// critical path and the what-if estimates, in that order. It then detaches
+// the ledger, so a later run in the same process is not recorded into it.
 func (o *Outputs) Finish() error {
 	defer o.detach()
 	if o.led != nil {
@@ -294,16 +283,6 @@ func (o *Outputs) Finish() error {
 		}
 		fmt.Fprintln(o.Stdout)
 		fmt.Fprint(o.Stdout, hirata.FormatWhatIfEstimates(ests))
-	}
-	if o.prof != nil {
-		fmt.Fprintln(o.Stdout)
-		fmt.Fprint(o.Stdout, o.prof.Profile().Format())
-		if o.HostTrace != "" {
-			if err := WriteFile(o.HostTrace, func(w io.Writer) error { return hirata.WriteHostTrace(w, o.prof, nil) }); err != nil {
-				return err
-			}
-			o.note("wrote %s (load in ui.perfetto.dev)", o.HostTrace)
-		}
 	}
 	return nil
 }

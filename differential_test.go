@@ -182,17 +182,25 @@ type observedRun struct {
 	outputs [4]string
 }
 
-// runObserved runs c once with a HostProfiler attached and, when observe
-// is set, a TextTracer and a Collector keeping stall events, whose stall
+// stepCounter is a core.HostProbe that keeps the number of cycles a run
+// stepped rather than jumped.
+type stepCounter struct{ steps uint64 }
+
+func (c *stepCounter) SkipJump(from, to uint64)    {}
+func (c *stepCounter) RunEnd(cycles, steps uint64) { c.steps = steps }
+
+// runObserved runs c once with a stepCounter attached and, when observe is
+// set, a TextTracer and a Collector keeping stall events, whose stall
 // totals it checks against the Result's. The Collector's ring keeps the
 // last 2^16 events, which bounds the memory and time of the long MinC
 // runs: their Chrome traces compare the tail of the run, while the tracer
 // output compares every event. A ring-less Collector rides beside it and
-// must export the same aggregates (sameAggregates).
+// must export the same aggregates (sameAggregates). It builds the
+// processor itself, as Run and ReplayTraces do, to attach the counter, and
+// runs it through their shared tail.
 func runObserved(t *testing.T, c goldenCase, cfg MTConfig, observe bool) observedRun {
 	t.Helper()
-	host := NewHostProfiler(HostProfilerOptions{})
-	opt := RunOptions{Host: host}
+	var opt RunOptions
 	var tracer hash.Hash
 	var col, ringless *Collector
 	if observe {
@@ -203,16 +211,31 @@ func runObserved(t *testing.T, c goldenCase, cfg MTConfig, observe bool) observe
 	}
 	var (
 		out observedRun
+		p   *core.Processor
 		err error
 		m   *Memory
 	)
 	if c.traces != nil {
-		out.res, err = ReplayTraces(cfg, c.traces, opt)
+		in := make([][]core.TraceInput, len(c.traces))
+		for i, tr := range c.traces {
+			in[i] = traceInputs(tr)
+		}
+		p, err = core.NewTraceDriven(cfg, in)
 	} else {
 		if m, err = c.mkMem(); err != nil {
 			t.Fatal(err)
 		}
-		out.res, err = Run(cfg, c.text, m, opt, c.startPCs...)
+		p, err = core.New(cfg, c.text, m)
+		for _, pc := range c.startPCs {
+			if err == nil {
+				err = p.StartThread(pc)
+			}
+		}
+	}
+	var count stepCounter
+	if err == nil {
+		p.SetHostProbe(&count)
+		out.res, err = run(p, opt, recording{})
 	}
 	if err != nil {
 		out.err = err.Error()
@@ -224,7 +247,7 @@ func runObserved(t *testing.T, c goldenCase, cfg MTConfig, observe bool) observe
 		}
 		out.memory = fmt.Sprintf("%x", h.Sum(nil))
 	}
-	out.steps = host.Profile().SteppedCycles
+	out.steps = count.steps
 	if observe {
 		// Every stall the Result counts reached the observers.
 		stalls := col.TotalsSnapshot().SlotStalls

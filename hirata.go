@@ -32,14 +32,12 @@ package hirata
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"hirata/internal/asm"
 	"hirata/internal/buildinfo"
 	"hirata/internal/core"
 	"hirata/internal/exec"
-	"hirata/internal/hostobs"
 	"hirata/internal/isa"
 	"hirata/internal/lint"
 	"hirata/internal/mem"
@@ -48,7 +46,6 @@ import (
 	"hirata/internal/risc"
 	"hirata/internal/runledger"
 	"hirata/internal/sched"
-	"hirata/internal/sweep"
 	"hirata/internal/trace"
 	"hirata/internal/workload"
 )
@@ -200,12 +197,9 @@ type RunOptions struct {
 	// Observers receive the pipeline event stream: a *Collector, a
 	// *TextTracer, or any custom Observer. Every *Collector among them is
 	// finalized against the run's Result before the run returns.
+	// Observers do not disarm quiescent-cycle skipping, so an observed run
+	// takes the bare run's steps and produces the bare Result.
 	Observers []Observer
-	// Host, when non-nil, samples the cycle loop's wall time per phase.
-	// Neither it nor Observers disarm quiescent-cycle skipping, so it
-	// times the steps the bare run takes, and the run produces the bare
-	// Result.
-	Host *HostProfiler
 }
 
 // Run simulates a program on the multithreaded processor with opt
@@ -213,7 +207,7 @@ type RunOptions struct {
 // thread at 0). With cfg.StrictVerify set, a program the verifier has
 // findings for is refused. When a run ledger is attached (SetRunLedger),
 // the completed run is recorded, with the first Collector's exact CPI
-// stack and the host profiler's digest when opt provides them.
+// stack when opt provides one.
 func Run(cfg MTConfig, text []Instruction, m *Memory, opt RunOptions, startPCs ...int64) (MTResult, error) {
 	if cfg.StrictVerify {
 		if err := strictVerify(text, lintConfigForRun(cfg, m, startPCs)); err != nil {
@@ -244,9 +238,6 @@ func RunMT(cfg MTConfig, text []Instruction, m *Memory, startPCs ...int64) (MTRe
 func run(p *core.Processor, opt RunOptions, rec recording) (MTResult, error) {
 	for _, o := range opt.Observers {
 		p.Observe(o)
-	}
-	if opt.Host != nil {
-		p.SetHostProbe(opt.Host)
 	}
 	res, err := p.Run()
 	if err != nil {
@@ -313,48 +304,11 @@ func NewCollector(cfg MTConfig, opt CollectorOptions) *Collector {
 
 // ServeObservability starts an HTTP server exposing a collector's /metrics,
 // /metrics.json, /trace.json, /profile and /debug/pprof endpoints, plus
-// /hostmetrics backed by host (e.g. a HostExport or *HostProfiler) and the
-// cross-run /runs endpoints backed by runs. prog may be nil; a nil source
-// serves 503 on its routes. It returns the bound address (useful with ":0")
-// and a shutdown function.
-func ServeObservability(addr string, c *Collector, prog *Program, host HostSource, runs RunsSource) (string, func() error, error) {
-	return obs.Serve(addr, c, prog, host, runs)
-}
-
-// Host-level self-observability (see internal/hostobs and the "Host-level
-// observability" section of docs/OBSERVABILITY.md): the simulator watching
-// its own execution rather than the simulated machine's.
-type (
-	// HostProfiler samples the cycle loop's wall time per phase and counts
-	// quiescent-cycle skips; attach with RunOptions.Host.
-	HostProfiler = hostobs.Profiler
-	// HostProfilerOptions configure sampling rate and trace retention.
-	HostProfilerOptions = hostobs.Options
-	// HostPhaseProfile is the aggregated per-phase wall-time breakdown.
-	HostPhaseProfile = hostobs.PhaseProfile
-	// HostExport bundles profiler and sweep recorder behind /hostmetrics.
-	HostExport = hostobs.Export
-	// HostSource serves a Prometheus exposition on /hostmetrics.
-	HostSource = obs.HostSource
-	// SweepRecorder records per-worker sweep timelines (a SweepTelemetry).
-	SweepRecorder = hostobs.SweepRecorder
-	// SweepTelemetry observes experiment sweeps (see SetSweepTelemetry).
-	SweepTelemetry = sweep.Telemetry
-)
-
-// NewHostProfiler builds a cycle-loop profiler. The zero HostProfilerOptions
-// selects 1-in-128 step sampling (hostobs.DefaultSampleEvery) and a
-// 4096-sample trace ring.
-func NewHostProfiler(opt HostProfilerOptions) *HostProfiler { return hostobs.New(opt) }
-
-// NewSweepRecorder builds a sweep telemetry recorder for SetSweepTelemetry.
-func NewSweepRecorder() *SweepRecorder { return hostobs.NewSweepRecorder() }
-
-// WriteHostTrace writes the host-side Chrome Trace Event JSON (cycle-loop
-// phase slices plus sweep-worker timelines; load in ui.perfetto.dev).
-// Either source may be nil.
-func WriteHostTrace(w io.Writer, prof *HostProfiler, rec *SweepRecorder) error {
-	return hostobs.WriteHostTrace(w, prof, rec)
+// the cross-run /runs endpoints backed by runs. prog may be nil; a nil runs
+// serves 503 on /runs. It returns the bound address (useful with ":0") and
+// a shutdown function.
+func ServeObservability(addr string, c *Collector, prog *Program, runs RunsSource) (string, func() error, error) {
+	return obs.Serve(addr, c, prog, runs)
 }
 
 // Version reports the binary's build identity (VCS revision, dirty flag, Go

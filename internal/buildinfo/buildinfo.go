@@ -1,8 +1,8 @@
 // Package buildinfo surfaces the binary's own build identity — VCS
 // revision, dirty flag and Go toolchain version from
 // debug.ReadBuildInfo — so every exposition path (hirata_build_info on
-// /metrics and /hostmetrics, the -version flag of the CLIs, and each
-// run-ledger record) reports the same provenance for a measurement.
+// /metrics, the -version flag of the CLIs, and each run-ledger record)
+// reports the same provenance for a measurement.
 package buildinfo
 
 import (

@@ -133,6 +133,16 @@ func (p *Processor) decodeAndAdvance() error {
 // wider widths implement the hybrid superscalar thread slots of §3.3.
 func (p *Processor) issueFromSlot(s *slot) error {
 	if len(s.d2) == 0 {
+		if s.fetchDone && s.buf.len() == 0 && !p.fetching(s) {
+			// The thread's next pc lies outside its stream, so nothing can
+			// ever reach its decode unit again.
+			stream := "program"
+			if p.traceMode {
+				stream = "trace"
+			}
+			return fmt.Errorf("core: slot %d: pc %d outside %s of %d instructions",
+				s.id, s.fetchPC, stream, p.streamLen(p.frames[s.frame]))
+		}
 		p.stall(s, -1, StallEmpty)
 		return nil
 	}
@@ -352,7 +362,11 @@ func (p *Processor) tryIssue(s *slot, di *dinstr, headClear bool, pendingDests, 
 				}
 				f.satisfied[addr] = true
 			}
-			extraLat += p.dcache.Access(addr) - p.dcacheHitCycles()
+			// The cache model sees only addresses a memory can hold; in a
+			// program run, one outside p.mem fails in exec.Execute below.
+			if addr >= 0 && (p.traceMode || addr < p.mem.Size()) {
+				extraLat += p.dcache.Access(addr) - p.dcacheHitCycles()
+			}
 		}
 	}
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"regexp"
 	"testing"
 
+	"hirata/internal/asm"
 	"hirata/internal/isa"
 	"hirata/internal/mem"
 )
@@ -420,6 +423,95 @@ func TestFetchUnitsSweep(t *testing.T) {
 		}
 		if i == 0 {
 			prev = res.Cycles
+		}
+	}
+}
+
+// TestPCOutsideStreamFails: a thread whose pc leaves its instruction
+// stream, by a jump or by running past the last instruction, fails at once
+// with an error naming the slot and the pc, on one slot, on four slots
+// with standby stations and at issue width 2. A replayed trace with no
+// final HALT fails the same way. MaxCycles 100 turns a thread left
+// waiting for instructions into a different error.
+func TestPCOutsideStreamFails(t *testing.T) {
+	cfgs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"1slot", Config{ThreadSlots: 1}},
+		{"4slots", Config{ThreadSlots: 4, StandbyStations: true}},
+		{"width2", Config{ThreadSlots: 1, IssueWidth: 2}},
+	}
+	progs := []struct {
+		name, src string
+		want      *regexp.Regexp
+	}{
+		{"negative-jump", "li r1, -8\njr r1\nhalt\n", regexp.MustCompile(`^core: slot \d: pc -8 outside program of 3 instructions$`)},
+		{"jump-past-end", "li r1, 100\njr r1\nhalt\n", regexp.MustCompile(`^core: slot \d: pc 100 outside program of 3 instructions$`)},
+		{"no-halt", "li r1, 1\naddi r1, r1, 1\n", regexp.MustCompile(`^core: slot \d: pc 2 outside program of 2 instructions$`)},
+	}
+	rec := recordInputs(t, "li r1, 3\nloop: addi r1, r1, -1\nbnez r1, loop\nhalt\n")
+	noHalt := rec[:len(rec)-1]
+	for _, c := range cfgs {
+		cfg := c.cfg
+		cfg.MaxCycles = 100
+		for _, pr := range progs {
+			t.Run(c.name+"/"+pr.name, func(t *testing.T) {
+				prog := asm.MustAssemble(pr.src)
+				m, err := prog.NewMemory(64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := New(cfg, prog.Text, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < cfg.ThreadSlots; i++ {
+					if err := p.StartThread(0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := p.Run(); err == nil || !pr.want.MatchString(err.Error()) {
+					t.Errorf("err = %v, want %s", err, pr.want)
+				}
+			})
+		}
+		t.Run(c.name+"/trace-no-halt", func(t *testing.T) {
+			traces := make([][]TraceInput, cfg.ThreadSlots)
+			for i := range traces {
+				traces[i] = noHalt
+			}
+			p, err := NewTraceDriven(cfg, traces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := regexp.MustCompile(fmt.Sprintf(`^core: slot \d: pc %d outside trace of %d instructions$`, len(noHalt), len(noHalt)))
+			if _, err := p.Run(); err == nil || !want.MatchString(err.Error()) {
+				t.Errorf("err = %v, want %s", err, want)
+			}
+		})
+	}
+}
+
+// TestNegativeAddressFiniteDCache: a load or store to a negative address
+// fails with the memory's range error whether the data cache is perfect
+// or finite; the finite cache model is never asked about the address.
+func TestNegativeAddressFiniteDCache(t *testing.T) {
+	const want = "core: slot 0: exec: pc 1: mem: address -5 out of range [0, 64)"
+	for _, src := range []string{"li r1, -5\nlw r2, 0(r1)\nhalt\n", "li r1, -5\nsw r2, 0(r1)\nhalt\n"} {
+		for _, dc := range []mem.CacheConfig{{}, {Lines: 8}} {
+			prog := asm.MustAssemble(src)
+			m, err := prog.NewMemory(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := New(Config{DCache: dc}, prog.Text, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Run(); err == nil || err.Error() != want {
+				t.Errorf("%q with DCache %+v: err = %v, want %s", src, dc, err, want)
+			}
 		}
 	}
 }

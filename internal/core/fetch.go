@@ -142,6 +142,13 @@ func (p *Processor) wantsFetch(s *slot) bool {
 		p.cycle >= s.fetchHoldUntil
 }
 
+// fetching reports whether an instruction cache access for the slot's
+// current stream is in flight.
+func (p *Processor) fetching(s *slot) bool {
+	fu := p.fetcherFor(s.id)
+	return fu.busy && fu.target == s.id && fu.gen == s.fetchGen
+}
+
 // beginAccess starts one instruction cache access for a slot, capturing the
 // instructions it will deliver.
 func (p *Processor) beginAccess(fu *fetchUnit, slotID int) {

@@ -299,15 +299,8 @@ type Processor struct {
 	started   bool
 	lastEvent uint64 // cycle of the latest architectural activity
 
-	observer Observer // optional rich event sink (see Observe)
-
-	// Host-side self-observability (hostprobe.go). hostProbe is the
-	// optional probe; hostSampled flags that the probe elected to sample
-	// the step in flight, gating its phase-boundary callbacks so the
-	// disabled path costs one nil check per step plus predictable
-	// always-false branches.
-	hostProbe   HostProbe
-	hostSampled bool
+	observer  Observer  // optional rich event sink (see Observe)
+	hostProbe HostProbe // optional step and skip counter (hostprobe.go)
 }
 
 // compDetail carries one completing instruction to Observer.Complete.
@@ -651,46 +644,20 @@ func (p *Processor) Run() (Result, error) {
 }
 
 // stepCycle advances the machine by one cycle, in reverse pipeline order so
-// that each stage sees the previous cycle's downstream state. Sampled and
-// unsampled steps run the same phases; a sampled step only adds the host
-// probe's phase-boundary callbacks.
+// that each stage sees the previous cycle's downstream state. Each phase is
+// its own function, so a CPU profile attributes the step's host cost phase
+// by phase (docs/PERFORMANCE.md, "Per-phase host cost").
 func (p *Processor) stepCycle() error {
 	p.stepsExecuted++
-	running := p.runningSlots
-	if p.hostProbe != nil {
-		p.hostSampled = p.hostProbe.StepStart(p.cycle)
-	}
 	p.rotatePriorities()
-	if p.hostSampled {
-		p.hostProbe.PhaseEnd(HostPhaseRotation)
-	}
 	p.retireCompletions()
-	if p.hostSampled {
-		p.hostProbe.PhaseEnd(HostPhaseCompletion)
-	}
 	p.wakeFrames()
-	if p.hostSampled {
-		p.hostProbe.PhaseEnd(HostPhaseWake)
-	}
 	p.bindSlots()
-	if p.hostSampled {
-		p.hostProbe.PhaseEnd(HostPhaseBind)
-	}
 	p.schedulePhase()
-	if p.hostSampled {
-		p.hostProbe.PhaseEnd(HostPhaseSelect)
-	}
 	if err := p.decodeAndAdvance(); err != nil {
 		return err
 	}
-	if p.hostSampled {
-		p.hostProbe.PhaseEnd(HostPhaseDecode)
-	}
 	p.fetchPhase()
-	if p.hostSampled {
-		p.hostProbe.PhaseEnd(HostPhaseFetch)
-		p.hostProbe.StepEnd(TouchSample{Cycle: p.cycle, RunningSlots: uint64(running)})
-	}
 	return nil
 }
 

@@ -25,11 +25,7 @@ import "math/bits"
 
 // advanceCycle moves the machine to the next simulated cycle, jumping over
 // provably quiescent stretches unless Config.DisableCycleSkip is set. A
-// HostProbe sees each jump through SkipJump, and on sampled steps the
-// horizon machinery is charged to HostPhaseSkip — but only when it
-// actually arms. A step that advances normally never reports the
-// event-horizon phase, so phase profiles separate "cycle simulated" from
-// "cycle jumped by event horizon".
+// HostProbe sees each jump through SkipJump.
 func (p *Processor) advanceCycle() {
 	next := p.cycle + 1
 	if p.runningSlots > 0 || p.cfg.DisableCycleSkip {
@@ -48,7 +44,6 @@ func (p *Processor) advanceCycle() {
 	if t <= next {
 		p.drainEv(next)
 		p.cycle = next
-		p.hostSkipDone()
 		return
 	}
 	if p.hostProbe != nil {
@@ -57,16 +52,6 @@ func (p *Processor) advanceCycle() {
 	p.fastForwardRotation(t)
 	p.drainEv(t)
 	p.cycle = t
-	p.hostSkipDone()
-}
-
-// hostSkipDone closes the event-horizon phase of a sampled step on which
-// the skip machinery armed (runningSlots == 0 and skipping enabled).
-func (p *Processor) hostSkipDone() {
-	if p.hostSampled {
-		p.hostProbe.PhaseEnd(HostPhaseSkip)
-		p.hostSampled = false
-	}
 }
 
 // maxU returns the larger of two cycle numbers.

@@ -11,14 +11,6 @@ import (
 	"hirata/internal/asm"
 )
 
-// HostSource is the host-side self-observability exposition attached to
-// /hostmetrics: implemented by internal/hostobs (phase-profile nanoseconds,
-// structure-touch counters, sweep telemetry). Defined here as a one-method
-// interface so obs does not import hostobs.
-type HostSource interface {
-	WriteHostPrometheus(w io.Writer) error
-}
-
 // RunsSource is the cross-run observability surface attached to /runs:
 // implemented by internal/runledger's Ledger. Defined here so obs does not
 // import runledger.
@@ -40,17 +32,15 @@ type RunsSource interface {
 //	/metrics.json totals and the interval time series as JSON
 //	/trace.json  Chrome Trace Event JSON of the ring buffer (Perfetto)
 //	/profile     per-PC hotspot report (annotated disassembly)
-//	/hostmetrics Prometheus exposition of the simulator's own execution
 //	/debug/pprof/... the standard Go profiler endpoints
 //
 // /trace.json and /critpath.json replay the event ring and serve 503 when
 // c keeps none. prog supplies the profiler's source-line map and may be
-// nil. host backs /hostmetrics; runs backs /runs, /runs/<sel> and the
-// hirata_runledger_* series appended to /metrics. A nil source serves 503
-// on its endpoints (for host: the run was started without -self-profile).
-// The collector is written by the simulation loop concurrently; every
-// handler works from a consistent snapshot.
-func Handler(c *Collector, prog *asm.Program, host HostSource, runs RunsSource) http.Handler {
+// nil. runs backs /runs, /runs/<sel> and the hirata_runledger_* series
+// appended to /metrics; when it is nil, /runs serves 503. The collector is
+// written by the simulation loop concurrently; every handler works from a
+// consistent snapshot.
+func Handler(c *Collector, prog *asm.Program, runs RunsSource) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -64,7 +54,6 @@ func Handler(c *Collector, prog *asm.Program, host HostSource, runs RunsSource) 
 			"  /profile        per-PC hotspot report\n"+
 			"  /cpistack.json  per-slot CPI-stack cycle accounting\n"+
 			"  /critpath.json  dynamic critical path with breakdown\n"+
-			"  /hostmetrics    the simulator observing itself (phase profile, dirty-set counters)\n"+
 			"  /runs           cross-run ledger index (with /runs/<hash-or-key-prefix>)\n"+
 			"  /debug/pprof/   Go runtime profiles of the simulator itself\n")
 	})
@@ -123,17 +112,6 @@ func Handler(c *Collector, prog *asm.Program, host HostSource, runs RunsSource) 
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/hostmetrics", func(w http.ResponseWriter, r *http.Request) {
-		if host == nil {
-			http.Error(w, "host self-observability not attached (run with -self-profile)",
-				http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := host.WriteHostPrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 	mux.HandleFunc("/runs", func(w http.ResponseWriter, r *http.Request) {
 		if runs == nil {
 			http.Error(w, "run ledger not attached (run with -record)", http.StatusServiceUnavailable)
@@ -170,12 +148,12 @@ func Handler(c *Collector, prog *asm.Program, host HostSource, runs RunsSource) 
 // It returns once the listener is bound (so "the server is up" is
 // ordered before the simulation starts) along with the bound address —
 // useful with ":0" — and a shutdown function.
-func Serve(addr string, c *Collector, prog *asm.Program, host HostSource, runs RunsSource) (bound string, shutdown func() error, err error) {
+func Serve(addr string, c *Collector, prog *asm.Program, runs RunsSource) (bound string, shutdown func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: Handler(c, prog, host, runs)}
+	srv := &http.Server{Handler: Handler(c, prog, runs)}
 	go func() {
 		// Serve returns http.ErrServerClosed on shutdown; anything else is
 		// reported through the server's ErrorLog default (stderr).

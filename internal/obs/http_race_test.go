@@ -66,7 +66,7 @@ func liveRunEndpoints(t *testing.T, opt Options) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(Handler(c, prog, nil, nil))
+	srv := httptest.NewServer(Handler(c, prog, nil))
 	defer srv.Close()
 
 	runDone := make(chan error, 1)

@@ -10,30 +10,6 @@ import (
 	"hirata/internal/core"
 )
 
-// writeBuildInfo emits the hirata_build_info identity gauge through a
-// p(format, args...) error-latch printer. The same gauge opens /metrics and
-// /hostmetrics so every scrape records which binary produced it.
-func writeBuildInfo(p func(format string, args ...any)) {
-	bi := buildinfo.Get()
-	p("# HELP hirata_build_info Build identity of the simulator binary (value is always 1).\n"+
-		"# TYPE hirata_build_info gauge\n"+
-		"hirata_build_info{revision=%q,goversion=%q,dirty=%q} 1\n",
-		bi.ShortRevision(), bi.GoVersion, fmt.Sprintf("%t", bi.Dirty))
-}
-
-// WriteBuildInfo writes the hirata_build_info gauge alone; internal/hostobs
-// reuses it so /hostmetrics carries the identical identity line.
-func WriteBuildInfo(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	writeBuildInfo(p)
-	return err
-}
-
 // Prometheus text-format exposition. Metric names follow the
 // <namespace>_<name>_<unit> convention with the "hirata_" namespace; see
 // docs/OBSERVABILITY.md for the catalogue.
@@ -58,7 +34,11 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	writeBuildInfo(p)
+	bi := buildinfo.Get()
+	p("# HELP hirata_build_info Build identity of the simulator binary (value is always 1).\n"+
+		"# TYPE hirata_build_info gauge\n"+
+		"hirata_build_info{revision=%q,goversion=%q,dirty=%q} 1\n",
+		bi.ShortRevision(), bi.GoVersion, fmt.Sprintf("%t", bi.Dirty))
 	p("# HELP hirata_cycles Simulated cycles elapsed (T).\n# TYPE hirata_cycles gauge\nhirata_cycles %d\n", cycles)
 	p("# HELP hirata_instructions_total Instructions issued from decode units.\n# TYPE hirata_instructions_total counter\nhirata_instructions_total %d\n", t.Issues)
 	ipc := 0.0

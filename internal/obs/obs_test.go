@@ -302,7 +302,7 @@ func TestAssignLanes(t *testing.T) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	c, _, prog := runFib(t, Options{MetricsInterval: 50, RingCapacity: DefaultRingCapacity})
-	srv := httptest.NewServer(Handler(c, prog, nil, nil))
+	srv := httptest.NewServer(Handler(c, prog, nil))
 	defer srv.Close()
 
 	get := func(path string) (int, string, string) {

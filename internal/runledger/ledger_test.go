@@ -1,6 +1,7 @@
 package runledger
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,11 +105,42 @@ func TestLedgerAppendOpenVerify(t *testing.T) {
 	}
 }
 
+// TestLedgerOpensV1Records: a ledger of v1 records still opens, also when
+// a record carries a section the format has since dropped. Open hashes the
+// stored bytes, and decoding ignores fields RunRecord no longer has.
+func TestLedgerOpensV1Records(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "recorded.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env envelope
+	if err := json.Unmarshal([]byte(strings.SplitN(string(data), "\n", 2)[0]), &env); err != nil {
+		t.Fatal(err)
+	}
+	payload := strings.TrimSuffix(string(env.Record), "}") + `,"dropped_section":"deadbeef"}`
+	line, err := json.Marshal(envelope{Hash: digestBytes([]byte(payload)), Record: json.RawMessage(payload)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.ledger")
+	if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := l.Entries()
+	if len(es) != 1 || es[0].Record.Format != "hirata-runrecord-v1" || es[0].Record.Result.Cycles == 0 {
+		t.Fatalf("opened %d records, want the one v1 record: %+v", len(es), es)
+	}
+}
+
 func TestLedgerFindSelectors(t *testing.T) {
 	l := NewMemory()
 	recA := synthRecord(t, "a", core.Config{ThreadSlots: 2}, 1000)
 	recB := synthRecord(t, "", core.Config{ThreadSlots: 2}, 1000)
-	recB.HostProfileDigest = "deadbeef" // same key as A, different content
+	recB.Bounds = &BoundsRef{Bound: 7} // same key as A, different content
 	if _, _, err := l.Append(recA); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +156,7 @@ func TestLedgerFindSelectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Record.HostProfileDigest != "deadbeef" {
+	if e.Record.Bounds == nil {
 		t.Error("key-prefix Find did not return the newest record of the key")
 	}
 

@@ -15,7 +15,7 @@
 //     result cache keys on exactly this.
 //   - the content hash identifies the *record*: hash of the canonical
 //     serialized payload (inputs + result metrics + cycle stack + optional
-//     exact CPI stack, static bounds and host-profile digest). Re-recording
+//     exact CPI stack and static bounds). Re-recording
 //     the same run in the same mode reproduces the content hash byte for
 //     byte; the determinism guard in the root test suite asserts this.
 //
@@ -45,7 +45,7 @@ import (
 // keyFormat when anything hashed into the run key (including the canonical
 // config encoding, see internal/core/canonical.go) changes meaning.
 const (
-	recordFormat = "hirata-runrecord-v1"
+	recordFormat = "hirata-runrecord-v2"
 	keyFormat    = "hirata-run-key-v1"
 )
 
@@ -129,18 +129,17 @@ type BoundsRef struct {
 // string, or a fixed-order composite, so json.Marshal of the struct is
 // byte-stable.
 type RunRecord struct {
-	Format            string      `json:"format"`
-	Key               string      `json:"key"`
-	Tag               string      `json:"tag,omitempty"` // human label; not part of the run key
-	Revision          string      `json:"revision"`
-	Program           ProgramRef  `json:"program"`
-	Workload          WorkloadRef `json:"workload"`
-	Config            ConfigRef   `json:"config"`
-	Result            ResultRef   `json:"result"`
-	Stack             CycleStack  `json:"stack"`
-	ExactCPI          *CycleStack `json:"exact_cpi,omitempty"`
-	Bounds            *BoundsRef  `json:"bounds,omitempty"`
-	HostProfileDigest string      `json:"host_profile_digest,omitempty"`
+	Format   string      `json:"format"`
+	Key      string      `json:"key"`
+	Tag      string      `json:"tag,omitempty"` // human label; not part of the run key
+	Revision string      `json:"revision"`
+	Program  ProgramRef  `json:"program"`
+	Workload WorkloadRef `json:"workload"`
+	Config   ConfigRef   `json:"config"`
+	Result   ResultRef   `json:"result"`
+	Stack    CycleStack  `json:"stack"`
+	ExactCPI *CycleStack `json:"exact_cpi,omitempty"`
+	Bounds   *BoundsRef  `json:"bounds,omitempty"`
 }
 
 // Canonical serializes the record to its canonical bytes; the content hash
@@ -162,8 +161,8 @@ func digestBytes(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// DigestBytes exposes the content-address function for sibling artifacts
-// (e.g. the host-profile digest a record may carry).
+// DigestBytes exposes the content-address function for sibling artifacts,
+// such as a trace's text.
 func DigestBytes(b []byte) string { return digestBytes(b) }
 
 // stallBucketNames names the stall-derived stack's buckets, aligned with
@@ -316,9 +315,9 @@ func normalizePCs(pcs []int64) []int64 {
 func (p *Pending) Key() string { return p.key }
 
 // Finish assembles the RunRecord for a completed run. Optional sections
-// (ExactCPI, Bounds, HostProfileDigest) may be attached to the returned
-// record before it is appended to a ledger; the content hash is computed at
-// append time over whatever the record then holds.
+// (ExactCPI, Bounds) may be attached to the returned record before it is
+// appended to a ledger; the content hash is computed at append time over
+// whatever the record then holds.
 func (p *Pending) Finish(res core.Result, tag string) *RunRecord {
 	rec := &RunRecord{
 		Format:   recordFormat,

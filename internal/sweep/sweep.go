@@ -15,19 +15,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// Telemetry observes a Map run for host-side self-observability
-// (internal/hostobs feeds sweep-worker timelines and queue-depth counters
-// into the host Chrome trace and /hostmetrics from it). CellDone is called
-// after every cell, including on the sequential workers==1 reference path
-// (as worker 0); pending is the number of cells not yet finished after this
-// one. Implementations must be safe for concurrent calls and must not
-// panic; a nil Telemetry costs nothing.
-type Telemetry interface {
-	CellDone(worker, cell, pending int, start, end time.Time, err error)
-}
 
 // Map runs fn(i) for every i in [0, n) and returns the n results in index
 // order. workers bounds the number of concurrent calls: 1 runs the plain
@@ -41,12 +29,6 @@ type Telemetry interface {
 // path still runs every cell; cells are independent simulations, so the
 // extra work has no observable effect beyond latency.)
 func Map[T any](n, workers int, fn func(int) (T, error)) ([]T, error) {
-	return MapObserved(n, workers, fn, nil)
-}
-
-// MapObserved is Map with an optional Telemetry sink. Telemetry only
-// observes timing; results and error selection are identical to Map.
-func MapObserved[T any](n, workers int, fn func(int) (T, error), tel Telemetry) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -57,22 +39,9 @@ func MapObserved[T any](n, workers int, fn func(int) (T, error), tel Telemetry) 
 		workers = n
 	}
 	results := make([]T, n)
-	var done atomic.Int64
-	report := func(worker, cell int, start time.Time, err error) {
-		if tel == nil {
-			return
-		}
-		pending := n - int(done.Add(1))
-		tel.CellDone(worker, cell, pending, start, time.Now(), err)
-	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			start := time.Time{}
-			if tel != nil {
-				start = time.Now()
-			}
 			r, err := fn(i)
-			report(0, i, start, err)
 			if err != nil {
 				return nil, err
 			}
@@ -84,22 +53,17 @@ func MapObserved[T any](n, workers int, fn func(int) (T, error), tel Telemetry) 
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
+	for range workers {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				start := time.Time{}
-				if tel != nil {
-					start = time.Now()
-				}
 				results[i], errs[i] = fn(i)
-				report(worker, i, start, errs[i])
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

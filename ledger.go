@@ -23,7 +23,7 @@ type (
 	// RunLedger is an append-only, content-addressed store of run records.
 	RunLedger = runledger.Ledger
 	// RunRecord is one recorded simulation: input identity (run key),
-	// result metrics, CPI stack, optional bounds and host-profile digest.
+	// result metrics, CPI stack, and optional exact stack and bounds.
 	RunRecord = runledger.RunRecord
 	// RunLedgerEntry is one stored record with its content address.
 	RunLedgerEntry = runledger.Entry
@@ -96,9 +96,8 @@ func recordBegin(begin func() *runledger.Pending) recording {
 	return r
 }
 
-// commit appends the completed run's record with the optional sections
-// opt provides, before hashing: the first Collector's exact CPI stack and
-// the host profiler's artifact digest.
+// commit appends the completed run's record with the optional section
+// opt provides, before hashing: the first Collector's exact CPI stack.
 func (r recording) commit(res MTResult, opt RunOptions) {
 	if r.led == nil {
 		return
@@ -108,11 +107,6 @@ func (r recording) commit(res MTResult, opt RunOptions) {
 		if c, ok := o.(*Collector); ok {
 			AttachExactCPI(rec, c)
 			break
-		}
-	}
-	if opt.Host != nil {
-		if d, err := opt.Host.ProfileDigest(); err == nil {
-			rec.HostProfileDigest = d
 		}
 	}
 	if _, _, err := r.led.Append(rec); err != nil {

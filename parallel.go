@@ -10,32 +10,6 @@ import (
 // sweepWorkers holds the configured sweep parallelism; 0 means NumCPU.
 var sweepWorkers atomic.Int32
 
-// sweepTel holds the optional telemetry sink observing every sweep; the
-// box makes the interface value swappable with a single atomic pointer.
-var sweepTel atomic.Pointer[sweepTelemetryBox]
-
-type sweepTelemetryBox struct{ t sweep.Telemetry }
-
-// SetSweepTelemetry attaches a telemetry sink (normally a *SweepRecorder)
-// to every subsequent experiment sweep: per-worker cell timelines and the
-// shrinking pending-cell count feed the host Chrome trace and /hostmetrics.
-// Pass nil to detach; a detached sweep pays nothing. Telemetry only
-// observes timing — results stay byte-identical (see internal/sweep).
-func SetSweepTelemetry(t sweep.Telemetry) {
-	if t == nil {
-		sweepTel.Store(nil)
-		return
-	}
-	sweepTel.Store(&sweepTelemetryBox{t: t})
-}
-
-func sweepTelemetry() sweep.Telemetry {
-	if b := sweepTel.Load(); b != nil {
-		return b.t
-	}
-	return nil
-}
-
 // SetParallelism sets how many simulation cells the experiment runners
 // (RunTable2..RunTable5, RunSpeedupCurve, RunMultiprogram and the extras)
 // execute concurrently. Each cell owns a private Processor and Memory and
@@ -60,5 +34,5 @@ func Parallelism() int {
 // runCells executes n independent simulation cells on the sweep engine at
 // the configured parallelism, returning results in cell order.
 func runCells[T any](n int, fn func(int) (T, error)) ([]T, error) {
-	return sweep.MapObserved(n, Parallelism(), fn, sweepTelemetry())
+	return sweep.Map(n, Parallelism(), fn)
 }

@@ -131,13 +131,9 @@ var runOptionCases = []runOptionCase{
 	{"tracer", func(MTConfig) RunOptions {
 		return RunOptions{Observers: []Observer{&TextTracer{W: io.Discard}}}
 	}},
-	{"host", func(MTConfig) RunOptions {
-		return RunOptions{Host: NewHostProfiler(HostProfilerOptions{})}
-	}},
 	{"all", func(cfg MTConfig) RunOptions {
 		return RunOptions{
 			Observers: []Observer{NewCollector(cfg, CollectorOptions{MetricsInterval: 64}), &TextTracer{W: io.Discard}},
-			Host:      NewHostProfiler(HostProfilerOptions{}),
 		}
 	}},
 }
@@ -147,8 +143,7 @@ var runOptionCases = []runOptionCase{
 // attached. Every combination must give the plain run's Result byte for
 // byte and append exactly one record under the plain run's key. The record
 // carries the exact CPI stack exactly when a Collector is attached (every
-// slot row summing to the run's cycles) and the host-profile digest
-// exactly when Host is set; every Collector is finalized.
+// slot row summing to the run's cycles); every Collector is finalized.
 func TestRunRecordObservedModes(t *testing.T) {
 	rt, err := BuildRayTrace(RayTraceConfig{Spheres: 4, Rays: 24})
 	if err != nil {
@@ -239,11 +234,8 @@ func TestRunRecordObservedModes(t *testing.T) {
 						}
 					}
 				}
-				if got := e.Record.HostProfileDigest != ""; got != (opt.Host != nil) {
-					t.Errorf("%s: record has host-profile digest = %v, want %v", oc.Name, got, opt.Host != nil)
-				}
 				// A record without optional sections is the plain record.
-				plainRecord := e.Record.ExactCPI == nil && e.Record.HostProfileDigest == ""
+				plainRecord := e.Record.ExactCPI == nil
 				if (e.Hash == plain.Hash) != plainRecord {
 					t.Errorf("%s: record hash %s vs plain %s, want equal = %v", oc.Name,
 						runledger.ShortKey(e.Hash), runledger.ShortKey(plain.Hash), plainRecord)

@@ -5,7 +5,9 @@
 //
 // It checks BASE and HEAD out as git worktrees named base and head under
 // .bench_build/abtest/, so an A/A run may pass one revision twice, and
-// removes them on exit. For every workload in BENCHMARK.json it runs the
+// removes them on exit. Each side builds with CARGO_TARGET_DIR set to its
+// own directory under .bench_build/abtest-cache/, which is kept, so later
+// comparisons reuse its Go build cache. For every workload in BENCHMARK.json it runs the
 // benchmark's command in both worktrees, pairs times: pair i uses seed
 // i+1, base runs first on even pairs and head first on odd ones. The
 // host's slow episodes last minutes, and only alternation inside one job
@@ -151,9 +153,15 @@ func run(ctx context.Context, dir string, revs []string, stdout, stderr io.Write
 		}
 	}
 
-	// Each worktree builds the benchmark into its own directory; a shared
-	// one would let one side's binary overwrite the other's.
+	// Each side builds the benchmark into its own directory, since a shared
+	// one would let one side's binary overwrite the other's. The
+	// directories lie outside the worktrees, so their Go build caches
+	// outlive this comparison and the next one starts warm.
 	env := slices.DeleteFunc(os.Environ(), func(kv string) bool { return strings.HasPrefix(kv, "CARGO_TARGET_DIR=") })
+	var envs [2][]string
+	for i, side := range [2]string{"base", "head"} {
+		envs[i] = append(slices.Clip(env), "CARGO_TARGET_DIR="+filepath.Join(top, ".bench_build", "abtest-cache", side))
+	}
 	fmt.Fprintf(stdout, "abtest base %.7s vs head %.7s: %d pairs of %d s runs per workload, δ = %g\n\n", shas[0], shas[1], pairs, seconds, delta)
 	fmt.Fprintln(stdout, "| workload | metric | better | base | head | head/base | 95% interval | head wins | verdict |")
 	fmt.Fprintln(stdout, "|---|---|---|---|---|---|---|---|---|")
@@ -168,7 +176,7 @@ func run(ctx context.Context, dir string, revs []string, stdout, stderr io.Write
 		}
 		for p := 0; p < pairs; p++ {
 			for _, side := range [][2]int{{0, 1}, {1, 0}}[p%2] {
-				r, err := runOnce(ctx, trees[side], b.Command, w.Name, p+1, env, stderr)
+				r, err := runOnce(ctx, trees[side], b.Command, w.Name, p+1, envs[side], stderr)
 				if err != nil {
 					fmt.Fprintln(stderr, "abtest:", err)
 					return 1

@@ -99,12 +99,16 @@ func TestRun(t *testing.T) {
 		git("commit", "-q", "-m", "c")
 		return git("rev-parse", "HEAD")
 	}
+	buildLog := filepath.Join(t.TempDir(), "build-dirs")
+	t.Setenv("ABTEST_TEST_LOG", buildLog)
 	git("init", "-q")
 	base := commit(map[string]string{
 		"BENCHMARK.json": `{"command": ["sh", "bench/run.sh"], "paths": ["bench"],
 			"workloads": [{"name": "w"}],
 			"end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "rate", "better": "higher"}]}`,
-		"bench/run.sh": `echo "a report line"
+		"bench/run.sh": `printf '%s\t%s\n' "$PWD" "$CARGO_TARGET_DIR" >> "$ABTEST_TEST_LOG"
+mkdir -p "$CARGO_TARGET_DIR"
+echo "a report line"
 echo "{\"correct\": $(cat correct), \"failed\": $(cat failed), \"metrics\": {\"wall_s\": {\"value\": $(cat speed)}, \"rate\": {\"value\": 5}}}"
 `,
 		".gitignore": ".bench_build/\n",
@@ -152,6 +156,50 @@ echo "{\"correct\": $(cat correct), \"failed\": $(cat failed), \"metrics\": {\"w
 			cleanedUp(t)
 		})
 	}
+	// Each side builds in one directory of its own, outside the worktrees
+	// (which are removed), and the directory outlives the comparison.
+	t.Run("build directories", func(t *testing.T) {
+		if err := os.Remove(buildLog); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if code := run(context.Background(), dir, []string{base, base}, io.Discard, io.Discard); code != 0 {
+			t.Fatalf("exit %d, want 0", code)
+		}
+		data, err := os.ReadFile(buildLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirOf := map[string]string{} // worktree -> build directory
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			tree, build, _ := strings.Cut(line, "\t")
+			if prev, ok := dirOf[tree]; ok && prev != build {
+				t.Errorf("worktree %s built in %s and in %s", tree, prev, build)
+			}
+			dirOf[tree] = build
+		}
+		if len(dirOf) != 2 {
+			t.Fatalf("runs came from %d worktrees, want 2: %v", len(dirOf), dirOf)
+		}
+		var builds []string
+		for tree, build := range dirOf {
+			builds = append(builds, build)
+			if !filepath.IsAbs(build) {
+				t.Errorf("build directory %q is not absolute", build)
+			}
+			for other := range dirOf {
+				if rel, err := filepath.Rel(other, build); err == nil && !strings.HasPrefix(rel, "..") {
+					t.Errorf("build directory %s lies inside worktree %s", build, other)
+				}
+			}
+			if _, err := os.Stat(build); err != nil {
+				t.Errorf("build directory of %s gone after the comparison: %v", tree, err)
+			}
+		}
+		if builds[0] == builds[1] {
+			t.Errorf("both sides built in %s", builds[0])
+		}
+		cleanedUp(t)
+	})
 	t.Run("interrupted", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()

@@ -2,11 +2,13 @@ package main
 
 // hottime: forbids raw wall-clock calls (time.Now, time.Since, time.After,
 // time.Tick, time.NewTicker, time.NewTimer) inside internal/core. The cycle
-// loop executes hundreds of thousands of times per simulated run; an
-// unsampled time.Now on that path costs more than the work it measures and
-// skews every published ns/op number. All host-side timing belongs in
-// internal/hostobs, whose sampled probe touches the clock on one step in
-// SampleEvery and keeps the disabled path allocation- and syscall-free.
+// loop executes hundreds of thousands of times per simulated run; a
+// time.Now on that path costs more than the work it measures (40-51 ns per
+// read on a 2-vCPU VM, against a few hundred ns per step) and distorts
+// every host measurement of the loop: the per-phase shares a CPU profile
+// gives and the ns per step perfbench reports. Host timing belongs outside
+// the core: perfbench times whole runs, and pprof samples the loop without
+// adding code to it.
 //
 // Scope: the whole internal/core package, by import path — every file, and
 // every file added later, is covered without this analyzer naming them.
@@ -15,17 +17,15 @@ package main
 // quiescent horizons of skip.go): they run inside or instead of the phase
 // bodies, so a clock read there is costlier than anywhere else — the
 // event core made stepped cycles cheap enough that one stray time.Now per
-// cycle would dominate them. On hosts with slow clock sources a single
-// read costs tens of nanoseconds, which is why even the sampled probe
-// defaults to one timed step in 128 (hostobs.DefaultSampleEvery).
+// cycle would dominate them.
 //
 // A deliberate exception carries a justification comment on the same line
 // or the line above:
 //
 //	t0 := time.Now() // hottime:allow cold-start banner, runs once
 //
-// Test files are exempt: timing assertions in _test.go files are the
-// mechanism that keeps the budget honest.
+// Test files are exempt: tests and benchmarks time the loop from outside
+// it.
 
 import (
 	"fmt"
@@ -89,7 +89,7 @@ func checkHotTime(fset *token.FileSet, pkgPath string, files []*ast.File, info *
 				return true
 			}
 			findings = append(findings, fmt.Sprintf(
-				"%s: hottime: time.%s on the simulator hot path; route host timing through the internal/hostobs sampled probe, or annotate `// hottime:allow <reason>`",
+				"%s: hottime: time.%s on the simulator hot path; time whole runs from outside internal/core, or annotate `// hottime:allow <reason>`",
 				pos, sel.Sel.Name))
 			return true
 		})

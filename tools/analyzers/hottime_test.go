@@ -112,11 +112,11 @@ func TestHotTimeCoversEventCore(t *testing.T) {
 	}
 }
 
-// Only internal/core is the hot path; the same calls anywhere else are the
-// host-observability layer doing its job.
+// Only internal/core is the hot path; the same calls anywhere else time
+// work from outside the cycle loop.
 func TestHotTimeScopedToCore(t *testing.T) {
-	fset, files, info := typecheckSrc(t, "hirata/internal/hostobs", hotTimeBadFixture)
-	if fs := checkHotTime(fset, "hirata/internal/hostobs", files, info); len(fs) != 0 {
+	fset, files, info := typecheckSrc(t, "hirata/internal/sweep", hotTimeBadFixture)
+	if fs := checkHotTime(fset, "hirata/internal/sweep", files, info); len(fs) != 0 {
 		t.Errorf("hottime outside internal/core: %v", fs)
 	}
 }

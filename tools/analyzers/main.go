@@ -31,9 +31,10 @@
 //
 //   - hottime: internal/core must not call time.Now / time.Since (or any
 //     other wall-clock or timer entry point) directly. The cycle loop is
-//     the simulator's hot path; host-side timing goes through the
-//     internal/hostobs sampled probe. `// hottime:allow <reason>` exempts
-//     a deliberate call.
+//     the simulator's hot path, and a clock read there would distort the
+//     CPU profiles and perfbench timings that measure it; host timing
+//     wraps whole runs from outside the core. `// hottime:allow <reason>`
+//     exempts a deliberate call.
 //
 //   - diagdoc: every lint diagnostic code declared in internal/lint/diag.go
 //     must have a `### Lxxx` section in docs/LINT.md, and every such
