@@ -52,6 +52,21 @@ func TestModelValidationTables(t *testing.T) {
 	for table, worst := range v.PerTable {
 		t.Logf("%s: worst |err| %.1f%%", table, worst)
 	}
+	// Table 3's D=1 S=2 cell sets IssueWidth 1, which the S=2 ls=2
+	// standby anchor leaves at 0. Effective resolves both to the same
+	// machine, so the cell is an anchor.
+	found := false
+	for _, p := range v.Points {
+		if p.Table == "table3" && p.Label == "D=1 S=2" {
+			found = true
+			if !p.Anchor {
+				t.Errorf("table3 %s: not marked as an anchor, but its machine is one", p.Label)
+			}
+		}
+	}
+	if !found {
+		t.Error("no table3 D=1 S=2 point")
+	}
 	if v.MaxAbsErrPct > modelErrBudgetPct {
 		t.Errorf("worst-case model error %.1f%% exceeds %.0f%% budget",
 			v.MaxAbsErrPct, modelErrBudgetPct)
