@@ -207,6 +207,12 @@ func (m *Machine) decode(in isa.Instruction) (bool, error) {
 		return false, fmt.Errorf("risc: pc %d: %s requires the multithreaded machine", m.pc, in.Op)
 	}
 
+	// Read a memory instruction's address before it executes: a load
+	// whose destination is its base register (lw r1, 0(r1)) overwrites it.
+	var addr int64
+	if in.Op.IsMem() {
+		addr = m.regs.ReadInt(in.Rs1) + int64(in.Imm)
+	}
 	out, err := exec.Execute(in, m.pc, ctx{m})
 	if err != nil {
 		return false, err
@@ -219,7 +225,6 @@ func (m *Machine) decode(in isa.Instruction) (bool, error) {
 
 	extra := 0
 	if in.Op.IsMem() {
-		addr := m.regs.ReadInt(in.Rs1) + int64(in.Imm)
 		if m.mem.IsRemote(addr) {
 			extra += m.mem.RemoteLatency()
 		}

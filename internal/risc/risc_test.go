@@ -155,6 +155,49 @@ func TestRemoteLatencyBlocks(t *testing.T) {
 	}
 }
 
+// TestLoadIntoBaseRegister: a load whose destination is its base register
+// (lw r1, 0(r1), the list-walk idiom) is charged for the address it reads,
+// not for the value it loads. So the loaded word cannot change the timing,
+// whether it holds a negative number, a remote address or a local one.
+func TestLoadIntoBaseRegister(t *testing.T) {
+	prog := asm.MustAssemble(`
+		li r1, 5
+		lw r1, 0(r1)
+		halt
+	`)
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		mkMem  func() *mem.Memory
+		words  []int64 // values of word 5, all timed alike
+		cycles uint64
+	}{
+		{"remote memory", Config{},
+			func() *mem.Memory { return mem.NewMemoryWithRemote(64, 32, 100) }, []int64{40, 4}, 9},
+		{"finite dcache", Config{DCache: mem.CacheConfig{Lines: 8}},
+			func() *mem.Memory { return mem.NewMemory(64) }, []int64{-3, 4}, 29},
+	} {
+		for _, w := range tc.words {
+			m := tc.mkMem()
+			m.SetInt(5, w)
+			mc, err := New(tc.cfg, prog.Text, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := mc.Run()
+			if err != nil {
+				t.Fatalf("%s, word 5 = %d: %v", tc.name, w, err)
+			}
+			if res.Cycles != tc.cycles {
+				t.Errorf("%s, word 5 = %d: %d cycles, want %d", tc.name, w, res.Cycles, tc.cycles)
+			}
+			if got := mc.Regs().ReadInt(isa.R1); got != w {
+				t.Errorf("%s: r1 = %d, want the loaded %d", tc.name, got, w)
+			}
+		}
+	}
+}
+
 func TestFiniteICacheSlowsDown(t *testing.T) {
 	// A loop far larger than the icache must run slower than with a
 	// perfect cache.
