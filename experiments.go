@@ -1,11 +1,8 @@
 package hirata
 
 import (
-	"fmt"
-
 	"hirata/internal/core"
 	"hirata/internal/isa"
-	"hirata/internal/risc"
 )
 
 // Table2Config parameterises the parallel-multithreading speed-up study
@@ -67,74 +64,48 @@ func RunTable2(cfg Table2Config) (*Table2, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Table2{Config: cfg}
-
-	// Every baseline and table cell is an independent simulation; enumerate
-	// them in the original loop order and run the grid on the sweep engine.
-	type spec struct {
-		baseline  bool
-		slots, ls int
-		standby   bool
-	}
-	specs := []spec{{baseline: true, ls: 1}, {baseline: true, ls: 2}}
-	for _, slots := range cfg.Slots {
-		for _, ls := range []int{1, 2} {
-			for _, standby := range []bool{false, true} {
-				specs = append(specs, spec{slots: slots, ls: ls, standby: standby})
-			}
-		}
-	}
-	type meas struct {
-		cycles  uint64
-		busiest core.UnitStat
-	}
-	results, err := runCells(len(specs), func(i int) (meas, error) {
-		sp := specs[i]
-		if sp.baseline {
-			m, err := rt.NewMemory(rt.Seq, 1)
-			if err != nil {
-				return meas{}, err
-			}
-			res, err := RunRISC(risc.Config{LoadStoreUnits: sp.ls}, rt.Seq.Text, m)
-			if err != nil {
-				return meas{}, fmt.Errorf("table 2 baseline (%d ls): %w", sp.ls, err)
-			}
-			return meas{cycles: res.Cycles}, nil
-		}
-		m, err := rt.NewMemory(rt.Par, sp.slots)
-		if err != nil {
-			return meas{}, err
-		}
-		res, err := RunMT(core.Config{
-			ThreadSlots:      sp.slots,
-			LoadStoreUnits:   sp.ls,
-			StandbyStations:  sp.standby,
-			RotationInterval: cfg.RotationInterval,
-			PrivateICache:    cfg.PrivateICache,
-		}, rt.Par.Text, m)
-		if err != nil {
-			return meas{}, fmt.Errorf("table 2 (%d slots, %d ls, standby=%v): %w", sp.slots, sp.ls, sp.standby, err)
-		}
-		return meas{cycles: res.Cycles, busiest: res.BusiestUnit()}, nil
-	})
+	cells := table2Cells(rt, cfg)
+	res, err := runGrid(append([]cell{seqCell(rt, rt.Seq, 1), seqCell(rt, rt.Seq, 2)}, cells...))
 	if err != nil {
 		return nil, err
 	}
-	out.BaselineCycle[1] = results[0].cycles
-	out.BaselineCycle[2] = results[1].cycles
-	for i, sp := range specs[2:] {
-		r := results[i+2]
+	out := &Table2{Config: cfg}
+	out.BaselineCycle[1], out.BaselineCycle[2] = res[0].Cycles, res[1].Cycles
+	for i, c := range cells {
+		r := res[2+i]
+		busiest := r.BusiestUnit()
 		out.Cells = append(out.Cells, Table2Cell{
-			Slots:          sp.slots,
-			LoadStoreUnits: sp.ls,
-			Standby:        sp.standby,
-			Cycles:         r.cycles,
-			Speedup:        float64(out.BaselineCycle[sp.ls]) / float64(r.cycles),
-			BusiestClass:   r.busiest.Class,
-			BusiestUtil:    r.busiest.Utilization(r.cycles),
+			Slots:          c.cfg.ThreadSlots,
+			LoadStoreUnits: c.cfg.LoadStoreUnits,
+			Standby:        c.cfg.StandbyStations,
+			Cycles:         r.Cycles,
+			Speedup:        ratio(out.BaselineCycle[c.cfg.LoadStoreUnits], r.Cycles),
+			BusiestClass:   busiest.Class,
+			BusiestUtil:    busiest.Utilization(r.Cycles),
 		})
 	}
 	return out, nil
+}
+
+// table2Cells returns Table 2's multithreaded cells: the parallel ray
+// tracer on each slot count, with one and two load/store units, without
+// and with standby stations.
+func table2Cells(rt *RayTrace, cfg Table2Config) []cell {
+	var cells []cell
+	for _, slots := range cfg.Slots {
+		for _, ls := range []int{1, 2} {
+			for _, standby := range []bool{false, true} {
+				cells = append(cells, parCell(rt, rt.Par, MTConfig{
+					ThreadSlots:      slots,
+					LoadStoreUnits:   ls,
+					StandbyStations:  standby,
+					RotationInterval: cfg.RotationInterval,
+					PrivateICache:    cfg.PrivateICache,
+				}))
+			}
+		}
+	}
+	return cells
 }
 
 // Table3Config parameterises the hybrid superscalar × multithreading study
@@ -187,57 +158,38 @@ func RunTable3(cfg Table3Config) (*Table3, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Table3{Config: cfg}
-
-	// Cell 0 is the sequential baseline; the rest sweep the (D,S) grid.
-	type spec struct{ d, s int }
-	specs := []spec{{0, 0}}
-	for _, prod := range cfg.Products {
-		for d := 1; d <= prod; d *= 2 {
-			specs = append(specs, spec{d: d, s: prod / d})
-		}
-	}
-	cycles, err := runCells(len(specs), func(i int) (uint64, error) {
-		sp := specs[i]
-		if i == 0 {
-			m, err := rt.NewMemory(rt.Seq, 1)
-			if err != nil {
-				return 0, err
-			}
-			base, err := RunRISC(risc.Config{LoadStoreUnits: 2}, rt.Seq.Text, m)
-			if err != nil {
-				return 0, err
-			}
-			return base.Cycles, nil
-		}
-		m, err := rt.NewMemory(rt.Par, sp.s)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMT(core.Config{
-			ThreadSlots:     sp.s,
-			LoadStoreUnits:  2,
-			StandbyStations: true,
-			IssueWidth:      sp.d,
-		}, rt.Par.Text, m)
-		if err != nil {
-			return 0, fmt.Errorf("table 3 (D=%d, S=%d): %w", sp.d, sp.s, err)
-		}
-		return res.Cycles, nil
-	})
+	cells := table3Cells(rt, cfg.Products)
+	res, err := runGrid(append([]cell{seqCell(rt, rt.Seq, 2)}, cells...))
 	if err != nil {
 		return nil, err
 	}
-	out.BaselineCycle = cycles[0]
-	for i, sp := range specs[1:] {
+	out := &Table3{Config: cfg, BaselineCycle: res[0].Cycles}
+	for i, c := range cells {
 		out.Cells = append(out.Cells, Table3Cell{
-			IssueWidth: sp.d,
-			Slots:      sp.s,
-			Cycles:     cycles[i+1],
-			Speedup:    float64(out.BaselineCycle) / float64(cycles[i+1]),
+			IssueWidth: c.cfg.IssueWidth,
+			Slots:      c.cfg.ThreadSlots,
+			Cycles:     res[1+i].Cycles,
+			Speedup:    ratio(out.BaselineCycle, res[1+i].Cycles),
 		})
 	}
 	return out, nil
+}
+
+// table3Cells returns Table 3's multithreaded cells: the parallel ray
+// tracer on every (D,S) processor with D·S in products.
+func table3Cells(rt *RayTrace, products []int) []cell {
+	var cells []cell
+	for _, prod := range products {
+		for d := 1; d <= prod; d *= 2 {
+			cells = append(cells, parCell(rt, rt.Par, MTConfig{
+				ThreadSlots:     prod / d,
+				LoadStoreUnits:  2,
+				StandbyStations: true,
+				IssueWidth:      d,
+			}))
+		}
+	}
+	return cells
 }
 
 // CurveCell is one point of the speed-up-versus-slots curve (Table 2's
@@ -254,55 +206,24 @@ func RunSpeedupCurve(w RayTraceConfig, maxSlots int) ([]CurveCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Cells 0..1 are the two baselines; then (slots, ls) pairs in curve order.
-	type spec struct {
-		baseline  bool
-		slots, ls int
-	}
-	specs := []spec{{baseline: true, ls: 1}, {baseline: true, ls: 2}}
+	// Cells 0 and 1 are the baselines with one and two load/store units;
+	// then each slot count on one and two load/store units.
+	cells := []cell{seqCell(rt, rt.Seq, 1), seqCell(rt, rt.Seq, 2)}
 	for s := 1; s <= maxSlots; s++ {
 		for _, ls := range []int{1, 2} {
-			specs = append(specs, spec{slots: s, ls: ls})
+			cells = append(cells, parCell(rt, rt.Par, MTConfig{ThreadSlots: s, LoadStoreUnits: ls, StandbyStations: true}))
 		}
 	}
-	cycles, err := runCells(len(specs), func(i int) (uint64, error) {
-		sp := specs[i]
-		if sp.baseline {
-			m, err := rt.NewMemory(rt.Seq, 1)
-			if err != nil {
-				return 0, err
-			}
-			res, err := RunRISC(risc.Config{LoadStoreUnits: sp.ls}, rt.Seq.Text, m)
-			if err != nil {
-				return 0, err
-			}
-			return res.Cycles, nil
-		}
-		m, err := rt.NewMemory(rt.Par, sp.slots)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMT(core.Config{
-			ThreadSlots:     sp.slots,
-			LoadStoreUnits:  sp.ls,
-			StandbyStations: true,
-		}, rt.Par.Text, m)
-		if err != nil {
-			return 0, fmt.Errorf("curve (%d slots, %d ls): %w", sp.slots, sp.ls, err)
-		}
-		return res.Cycles, nil
-	})
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, err
 	}
-	var base [3]uint64
-	base[1], base[2] = cycles[0], cycles[1]
 	var out []CurveCell
-	for i := 2; i < len(specs); i += 2 {
+	for i := 2; i < len(cells); i += 2 {
 		out = append(out, CurveCell{
-			Slots:     specs[i].slots,
-			SpeedupL1: float64(base[1]) / float64(cycles[i]),
-			SpeedupL2: float64(base[2]) / float64(cycles[i+1]),
+			Slots:     cells[i].cfg.ThreadSlots,
+			SpeedupL1: ratio(res[0].Cycles, res[i].Cycles),
+			SpeedupL2: ratio(res[1].Cycles, res[i+1].Cycles),
 		})
 	}
 	return out, nil

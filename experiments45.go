@@ -1,13 +1,5 @@
 package hirata
 
-import (
-	"fmt"
-
-	"hirata/internal/core"
-	"hirata/internal/risc"
-	"hirata/internal/sched"
-)
-
 // Table4Config parameterises the static code scheduling study (paper §3.4,
 // Table 4): Livermore Kernel 1 on a one-load/store-unit machine.
 type Table4Config struct {
@@ -61,78 +53,51 @@ func (t *Table4) Cell(slots int, s Strategy) (Table4Cell, bool) {
 func RunTable4(cfg Table4Config) (*Table4, error) {
 	cfg = cfg.withDefaults()
 	out := &Table4{Config: cfg}
-	// Each (strategy, slots) cell builds its own scheduled program and
-	// machine; the whole grid runs on the sweep engine.
-	type spec struct {
-		strat Strategy
-		slots int
-	}
-	var specs []spec
-	for _, strat := range []Strategy{sched.None, sched.StrategyA, sched.StrategyB} {
+	var cells []cell
+	for _, strat := range table4Strategies {
 		for _, slots := range cfg.Slots {
-			specs = append(specs, spec{strat: strat, slots: slots})
+			c, err := lk1Cell(cfg.N, slots, strat, 0)
+			if err != nil {
+				return nil, err
+			}
+			bound := uint64(0)
+			if sb := StaticBounds(c.cfg, c.text); !sb.Unbounded {
+				bound = uint64(sb.Bound)
+			}
+			cells = append(cells, c)
+			out.Cells = append(out.Cells, Table4Cell{Slots: slots, Strategy: strat, StaticBound: bound})
 		}
 	}
-	cycles, err := runCells(len(specs), func(i int) (uint64, error) {
-		sp := specs[i]
-		lv, err := BuildLivermore(LivermoreConfig{
-			N: cfg.N, Threads: sp.slots, Strategy: sp.strat, LoadStoreUnits: 1,
-		})
-		if err != nil {
-			return 0, err
-		}
-		prog := lv.Par
-		if sp.slots == 1 {
-			prog = lv.Seq
-		}
-		m, err := prog.NewMemory(64)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMT(core.Config{
-			ThreadSlots:     sp.slots,
-			LoadStoreUnits:  1,
-			StandbyStations: true,
-		}, prog.Text, m)
-		if err != nil {
-			return 0, fmt.Errorf("table 4 (%v, %d slots): %w", sp.strat, sp.slots, err)
-		}
-		return res.Cycles, nil
-	})
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, err
 	}
-	for i, sp := range specs {
-		// Rebuild the cell's program to compute its static lower bound —
-		// scheduling strategy and slot count both change the text.
-		lv, err := BuildLivermore(LivermoreConfig{
-			N: cfg.N, Threads: sp.slots, Strategy: sp.strat, LoadStoreUnits: 1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		prog := lv.Par
-		if sp.slots == 1 {
-			prog = lv.Seq
-		}
-		sb := StaticBounds(core.Config{
-			ThreadSlots:     sp.slots,
-			LoadStoreUnits:  1,
-			StandbyStations: true,
-		}, prog.Text)
-		bound := uint64(0)
-		if !sb.Unbounded {
-			bound = uint64(sb.Bound)
-		}
-		out.Cells = append(out.Cells, Table4Cell{
-			Slots:         sp.slots,
-			Strategy:      sp.strat,
-			TotalCycles:   cycles[i],
-			CyclesPerIter: float64(cycles[i]) / float64(cfg.N),
-			StaticBound:   bound,
-		})
+	for i := range out.Cells {
+		out.Cells[i].TotalCycles = res[i].Cycles
+		out.Cells[i].CyclesPerIter = float64(res[i].Cycles) / float64(cfg.N)
 	}
 	return out, nil
+}
+
+// table4Strategies are Table 4's columns.
+var table4Strategies = []Strategy{ScheduleNone, ScheduleStrategyA, ScheduleStrategyB}
+
+// lk1Cell runs Livermore Kernel 1, scheduled by strat and unrolled unroll
+// times, on slots thread slots with one load/store unit and standby
+// stations: the sequential loop on one slot, the doall version on more.
+func lk1Cell(n, slots int, strat Strategy, unroll int) (cell, error) {
+	lv, err := BuildLivermore(LivermoreConfig{
+		N: n, Threads: slots, Strategy: strat, Unroll: unroll, LoadStoreUnits: 1,
+	})
+	if err != nil {
+		return cell{}, err
+	}
+	p := lv.Par
+	if slots == 1 {
+		p = lv.Seq
+	}
+	return mtCell(p.Text, func() (*Memory, error) { return p.NewMemory(64) },
+		MTConfig{ThreadSlots: slots, LoadStoreUnits: 1, StandbyStations: true}), nil
 }
 
 // Table5Config parameterises the eager-execution study (paper §3.5,
@@ -186,48 +151,30 @@ func RunTable5(cfg Table5Config) (*Table5, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Table5{Config: cfg}
-
-	// Cell 0 is the sequential baseline; cells 1.. sweep the slot counts.
-	cycles, err := runCells(1+len(cfg.Slots), func(i int) (uint64, error) {
-		if i == 0 {
-			mSeq, err := ll.NewMemory(ll.Seq, 1)
-			if err != nil {
-				return 0, err
-			}
-			seq, err := RunRISC(risc.Config{LoadStoreUnits: 1}, ll.Seq.Text, mSeq)
-			if err != nil {
-				return 0, fmt.Errorf("table 5 baseline: %w", err)
-			}
-			return seq.Cycles, nil
-		}
-		slots := cfg.Slots[i-1]
-		m, err := ll.NewMemory(ll.Par, slots)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMT(core.Config{
-			ThreadSlots:     slots,
-			LoadStoreUnits:  1,
-			StandbyStations: true,
-		}, ll.Par.Text, m)
-		if err != nil {
-			return 0, fmt.Errorf("table 5 (%d slots): %w", slots, err)
-		}
-		return res.Cycles, nil
-	})
+	cells := []cell{seqCell(ll, ll.Seq, 1)}
+	for _, slots := range cfg.Slots {
+		cells = append(cells, listCell(ll, slots))
+	}
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, err
 	}
-	out.SequentialCycles = cycles[0]
-	out.SequentialPerIt = float64(cycles[0]) / float64(cfg.Nodes)
+	seq := res[0].Cycles
+	out := &Table5{Config: cfg, SequentialCycles: seq, SequentialPerIt: float64(seq) / float64(cfg.Nodes)}
 	for i, slots := range cfg.Slots {
+		c := res[1+i].Cycles
 		out.Cells = append(out.Cells, Table5Cell{
 			Slots:         slots,
-			TotalCycles:   cycles[i+1],
-			CyclesPerIter: float64(cycles[i+1]) / float64(cfg.Nodes),
-			Speedup:       float64(cycles[0]) / float64(cycles[i+1]),
+			TotalCycles:   c,
+			CyclesPerIter: float64(c) / float64(cfg.Nodes),
+			Speedup:       ratio(seq, c),
 		})
 	}
 	return out, nil
+}
+
+// listCell runs the eager list walk on slots thread slots with one
+// load/store unit and standby stations.
+func listCell(ll *LinkedList, slots int) cell {
+	return parCell(ll, ll.Par, MTConfig{ThreadSlots: slots, LoadStoreUnits: 1, StandbyStations: true})
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"hirata/internal/core"
-	"hirata/internal/isa"
 	"hirata/internal/mem"
 )
 
@@ -26,43 +24,26 @@ func RunRotationSweep(w RayTraceConfig, slots, lsUnits int) ([]RotationSweepCell
 		return nil, err
 	}
 	// Cell 0 is the sequential baseline; cells 1..9 sweep intervals 2^0..2^8.
-	cycles, err := runCells(10, func(i int) (uint64, error) {
-		if i == 0 {
-			mSeq, err := rt.NewMemory(rt.Seq, 1)
-			if err != nil {
-				return 0, err
-			}
-			base, err := RunRISC(RISCConfig{LoadStoreUnits: lsUnits}, rt.Seq.Text, mSeq)
-			if err != nil {
-				return 0, err
-			}
-			return base.Cycles, nil
-		}
-		interval := 1 << (i - 1)
-		m, err := rt.NewMemory(rt.Par, slots)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMT(core.Config{
+	cells := []cell{seqCell(rt, rt.Seq, lsUnits)}
+	for n := 0; n <= 8; n++ {
+		cells = append(cells, parCell(rt, rt.Par, MTConfig{
 			ThreadSlots:      slots,
 			LoadStoreUnits:   lsUnits,
 			StandbyStations:  true,
-			RotationInterval: interval,
-		}, rt.Par.Text, m)
-		if err != nil {
-			return 0, fmt.Errorf("rotation sweep (interval %d): %w", interval, err)
-		}
-		return res.Cycles, nil
-	})
+			RotationInterval: 1 << n,
+		}))
+	}
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, err
 	}
 	var out []RotationSweepCell
-	for n := 0; n <= 8; n++ {
+	for i, c := range cells[1:] {
+		cycles := res[1+i].Cycles
 		out = append(out, RotationSweepCell{
-			Interval: 1 << n,
-			Cycles:   cycles[n+1],
-			Speedup:  float64(cycles[0]) / float64(cycles[n+1]),
+			Interval: c.cfg.RotationInterval,
+			Cycles:   cycles,
+			Speedup:  ratio(res[0].Cycles, cycles),
 		})
 	}
 	return out, nil
@@ -86,56 +67,31 @@ func RunPrivateICache(w RayTraceConfig) ([]PrivateICacheCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	shapes := []struct {
-		slots, ls int
-		standby   bool
-	}{
-		{2, 1, false},
-		{8, 2, true},
+	shapes := []MTConfig{
+		{ThreadSlots: 2, LoadStoreUnits: 1},
+		{ThreadSlots: 8, LoadStoreUnits: 2, StandbyStations: true},
 	}
 	// Three cells per shape: the baseline, the shared-cache run and the
 	// private-cache run.
-	cycles, err := runCells(3*len(shapes), func(i int) (uint64, error) {
-		sh := shapes[i/3]
-		if i%3 == 0 {
-			mSeq, err := rt.NewMemory(rt.Seq, 1)
-			if err != nil {
-				return 0, err
-			}
-			base, err := RunRISC(RISCConfig{LoadStoreUnits: sh.ls}, rt.Seq.Text, mSeq)
-			if err != nil {
-				return 0, err
-			}
-			return base.Cycles, nil
-		}
-		private := i%3 == 2
-		m, err := rt.NewMemory(rt.Par, sh.slots)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMT(core.Config{
-			ThreadSlots:     sh.slots,
-			LoadStoreUnits:  sh.ls,
-			StandbyStations: sh.standby,
-			PrivateICache:   private,
-		}, rt.Par.Text, m)
-		if err != nil {
-			return 0, err
-		}
-		return res.Cycles, nil
-	})
+	var cells []cell
+	for _, sh := range shapes {
+		private := sh
+		private.PrivateICache = true
+		cells = append(cells, seqCell(rt, rt.Seq, sh.LoadStoreUnits), parCell(rt, rt.Par, sh), parCell(rt, rt.Par, private))
+	}
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, err
 	}
 	var out []PrivateICacheCell
 	for i, sh := range shapes {
-		base := float64(cycles[3*i])
+		r := res[3*i:]
 		out = append(out, PrivateICacheCell{
-			Slots:          sh.slots,
-			LoadStoreUnits: sh.ls,
-			Standby:        sh.standby,
-			SharedSpeedup:  base / float64(cycles[3*i+1]),
-			PrivateSpeedup: base / float64(cycles[3*i+2]),
+			Slots:          sh.ThreadSlots,
+			LoadStoreUnits: sh.LoadStoreUnits,
+			Standby:        sh.StandbyStations,
+			SharedSpeedup:  ratio(r[0].Cycles, r[1].Cycles),
+			PrivateSpeedup: ratio(r[0].Cycles, r[2].Cycles),
 		})
 	}
 	return out, nil
@@ -149,15 +105,15 @@ func UtilizationReport(w RayTraceConfig, slots, lsUnits int) (MTResult, error) {
 	if err != nil {
 		return MTResult{}, err
 	}
-	m, err := rt.NewMemory(rt.Par, slots)
-	if err != nil {
-		return MTResult{}, err
-	}
-	return RunMT(core.Config{
+	res, err := runGrid([]cell{parCell(rt, rt.Par, MTConfig{
 		ThreadSlots:     slots,
 		LoadStoreUnits:  lsUnits,
 		StandbyStations: true,
-	}, rt.Par.Text, m)
+	})})
+	if err != nil {
+		return MTResult{}, err
+	}
+	return res[0], nil
 }
 
 // FiniteCacheCell is one finite-cache measurement (the paper's stated
@@ -177,36 +133,24 @@ func RunFiniteCache(w RayTraceConfig, slots int, lines []int) ([]FiniteCacheCell
 	if err != nil {
 		return nil, err
 	}
-	runOne := func(nLines int) (uint64, error) {
-		m, err := rt.NewMemory(rt.Par, slots)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMT(core.Config{
+	// Cell 0 is the perfect cache; cells 1.. sweep the finite sizes.
+	lines = append([]int{0}, lines...)
+	var cells []cell
+	for _, n := range lines {
+		cells = append(cells, parCell(rt, rt.Par, MTConfig{
 			ThreadSlots:     slots,
 			LoadStoreUnits:  2,
 			StandbyStations: true,
-			DCache:          mem.CacheConfig{Lines: nLines, WordsPerLine: 4, MissPenalty: 20},
-		}, rt.Par.Text, m)
-		if err != nil {
-			return 0, err
-		}
-		return res.Cycles, nil
+			DCache:          mem.CacheConfig{Lines: n, WordsPerLine: 4, MissPenalty: 20},
+		}))
 	}
-	// Cell 0 is the perfect cache; cells 1.. sweep the finite sizes.
-	cycles, err := runCells(1+len(lines), func(i int) (uint64, error) {
-		if i == 0 {
-			return runOne(0)
-		}
-		return runOne(lines[i-1])
-	})
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, err
 	}
-	perfect := cycles[0]
-	out := []FiniteCacheCell{{Lines: 0, Cycles: perfect, Speedup: 1}}
+	var out []FiniteCacheCell
 	for i, n := range lines {
-		out = append(out, FiniteCacheCell{Lines: n, Cycles: cycles[i+1], Speedup: float64(perfect) / float64(cycles[i+1])})
+		out = append(out, FiniteCacheCell{Lines: n, Cycles: res[i].Cycles, Speedup: ratio(res[0].Cycles, res[i].Cycles)})
 	}
 	return out, nil
 }
@@ -226,25 +170,22 @@ func RunQueueDepthAblation(nodes, slots int, depths []int) ([]QueueDepthCell, er
 	if err != nil {
 		return nil, err
 	}
-	out, err := runCells(len(depths), func(i int) (QueueDepthCell, error) {
-		d := depths[i]
-		m, err := ll.NewMemory(ll.Par, slots)
-		if err != nil {
-			return QueueDepthCell{}, err
-		}
-		res, err := RunMT(core.Config{
+	var cells []cell
+	for _, d := range depths {
+		cells = append(cells, parCell(ll, ll.Par, MTConfig{
 			ThreadSlots:     slots,
 			LoadStoreUnits:  1,
 			StandbyStations: true,
 			QueueDepth:      d,
-		}, ll.Par.Text, m)
-		if err != nil {
-			return QueueDepthCell{}, fmt.Errorf("queue depth %d: %w", d, err)
-		}
-		return QueueDepthCell{Depth: d, CyclesPerIter: float64(res.Cycles) / float64(nodes)}, nil
-	})
+		}))
+	}
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, err
+	}
+	var out []QueueDepthCell
+	for i, d := range depths {
+		out = append(out, QueueDepthCell{Depth: d, CyclesPerIter: float64(res[i].Cycles) / float64(nodes)})
 	}
 	return out, nil
 }
@@ -278,34 +219,37 @@ func RunConcurrentMT(threads int, frames []int, remoteLatency int) ([]Concurrent
 			return nil, fmt.Errorf("hirata: concurrent MT needs at least one context frame per thread (%d < %d)", nf, threads)
 		}
 	}
-	runOne := func(nf int, suppress bool) (ConcurrentMTCell, error) {
+	remote := func() (*Memory, error) {
 		m := NewMemoryWithRemote(8192, 4096, remoteLatency)
 		for i := int64(4096); i < 8192; i++ {
 			m.SetInt(i, i%97)
 		}
-		res, err := RunMT(core.Config{
-			ThreadSlots:     1,
-			ContextFrames:   nf,
-			StandbyStations: true,
-			// Explicit-rotation mode suppresses data-absence context
-			// switches (§2.3.1), giving the stall-through baseline.
-			ExplicitRotation: suppress,
-		}, prog.Text, m, make([]int64, threads)...)
-		if err != nil {
-			return ConcurrentMTCell{}, fmt.Errorf("concurrent MT (%d frames, suppress=%v): %w", nf, suppress, err)
-		}
-		return ConcurrentMTCell{ContextFrames: nf, Suppressed: suppress, Cycles: res.Cycles, Switches: res.Switches}, nil
+		return m, nil
 	}
-
-	// Cell 0 is the stall-through baseline; cells 1.. enable switching.
-	out, err := runCells(1+len(frames), func(i int) (ConcurrentMTCell, error) {
-		if i == 0 {
-			return runOne(threads, true)
-		}
-		return runOne(frames[i-1], false)
-	})
+	pcs := make([]int64, threads)
+	// Cell 0 is the stall-through baseline: explicit-rotation mode
+	// suppresses data-absence context switches (§2.3.1). Cells 1..
+	// enable switching.
+	cells := []cell{mtCell(prog.Text, remote, MTConfig{
+		ThreadSlots: 1, ContextFrames: threads, StandbyStations: true, ExplicitRotation: true,
+	}, pcs...)}
+	for _, nf := range frames {
+		cells = append(cells, mtCell(prog.Text, remote, MTConfig{
+			ThreadSlots: 1, ContextFrames: nf, StandbyStations: true,
+		}, pcs...))
+	}
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, err
+	}
+	var out []ConcurrentMTCell
+	for i, c := range cells {
+		out = append(out, ConcurrentMTCell{
+			ContextFrames: c.cfg.ContextFrames,
+			Suppressed:    c.cfg.ExplicitRotation,
+			Cycles:        res[i].Cycles,
+			Switches:      res[i].Switches,
+		})
 	}
 	return out, nil
 }
@@ -329,9 +273,6 @@ loop:	lw   r4, 0(r3)
 	halt
 `
 
-// unitClassName is re-exported for report rendering.
-func unitClassName(u isa.UnitClass) string { return u.String() }
-
 // IssueBandwidthCell compares the paper's simultaneous issue against the
 // single-issue multithreaded precursors of §4 (HEP-style cycle-by-cycle
 // interleaving; Farrens & Pleszkun's competing streams): the same machine
@@ -350,49 +291,32 @@ func RunIssueBandwidth(w RayTraceConfig, slots []int) ([]IssueBandwidthCell, err
 	if err != nil {
 		return nil, err
 	}
-	// Cell 0 is the sequential baseline; then (slots, cap) pairs in order.
-	cycles, err := runCells(1+2*len(slots), func(i int) (uint64, error) {
-		if i == 0 {
-			mSeq, err := rt.NewMemory(rt.Seq, 1)
-			if err != nil {
-				return 0, err
-			}
-			base, err := RunRISC(RISCConfig{LoadStoreUnits: 2}, rt.Seq.Text, mSeq)
-			if err != nil {
-				return 0, err
-			}
-			return base.Cycles, nil
+	// Cell 0 is the sequential baseline; then each slot count with
+	// simultaneous issue and with one instruction per cycle.
+	cells := []cell{seqCell(rt, rt.Seq, 2)}
+	for _, s := range slots {
+		for _, limit := range []int{0, 1} {
+			cells = append(cells, parCell(rt, rt.Par, MTConfig{
+				ThreadSlots:      s,
+				LoadStoreUnits:   2,
+				StandbyStations:  true,
+				MaxIssuePerCycle: limit,
+			}))
 		}
-		s := slots[(i-1)/2]
-		cap := (i - 1) % 2 // 0 = simultaneous, 1 = single-issue
-		m, err := rt.NewMemory(rt.Par, s)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMT(core.Config{
-			ThreadSlots:      s,
-			LoadStoreUnits:   2,
-			StandbyStations:  true,
-			MaxIssuePerCycle: cap,
-		}, rt.Par.Text, m)
-		if err != nil {
-			return 0, fmt.Errorf("issue bandwidth (%d slots, cap %d): %w", s, cap, err)
-		}
-		return res.Cycles, nil
-	})
+	}
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, err
 	}
-	base := float64(cycles[0])
 	var out []IssueBandwidthCell
 	for i, s := range slots {
-		simul, single := cycles[1+2*i], cycles[2+2*i]
+		simul, single := res[1+2*i].Cycles, res[2+2*i].Cycles
 		out = append(out, IssueBandwidthCell{
 			Slots:              s,
 			SimultaneousCycles: simul,
 			SingleIssueCycles:  single,
-			Simultaneous:       base / float64(simul),
-			SingleIssue:        base / float64(single),
+			Simultaneous:       ratio(res[0].Cycles, simul),
+			SingleIssue:        ratio(res[0].Cycles, single),
 		})
 	}
 	return out, nil
@@ -414,43 +338,26 @@ func RunDoacross(n int, slots []int) ([]DoacrossCell, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	// Cell 0 is the sequential baseline; cells 1.. sweep the slot counts.
-	cycles, err := runCells(1+len(slots), func(i int) (uint64, error) {
-		if i == 0 {
-			mSeq, err := rc.NewMemory(rc.Seq, 1)
-			if err != nil {
-				return 0, err
-			}
-			base, err := RunRISC(RISCConfig{}, rc.Seq.Text, mSeq)
-			if err != nil {
-				return 0, err
-			}
-			return base.Cycles, nil
-		}
-		s := slots[i-1]
-		m, err := rc.NewMemory(rc.Par, s)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMT(core.Config{ThreadSlots: s, StandbyStations: true}, rc.Par.Text, m)
-		if err != nil {
-			return 0, fmt.Errorf("doacross (%d slots): %w", s, err)
-		}
-		return res.Cycles, nil
-	})
+	cells := []cell{seqCell(rc, rc.Seq, 1)}
+	for _, s := range slots {
+		cells = append(cells, parCell(rc, rc.Par, MTConfig{ThreadSlots: s, StandbyStations: true}))
+	}
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, 0, err
 	}
+	seq := res[0].Cycles
 	var out []DoacrossCell
 	for i, s := range slots {
+		c := res[1+i].Cycles
 		out = append(out, DoacrossCell{
 			Slots:         s,
-			Cycles:        cycles[i+1],
-			CyclesPerIter: float64(cycles[i+1]) / float64(n),
-			Speedup:       float64(cycles[0]) / float64(cycles[i+1]),
+			Cycles:        c,
+			CyclesPerIter: float64(c) / float64(n),
+			Speedup:       ratio(seq, c),
 		})
 	}
-	return out, cycles[0], nil
+	return out, seq, nil
 }
 
 // SWPAblationCell contrasts strategy B against the software-pipelining
@@ -465,35 +372,24 @@ type SWPAblationCell struct {
 // RunSWPAblation measures LK1 cycles per iteration for strategy B vs the
 // NOP-padding software pipeliner at the given thread-slot counts.
 func RunSWPAblation(n int, slots []int) ([]SWPAblationCell, error) {
-	strats := []Strategy{ScheduleStrategyB, ScheduleSWP}
-	out, err := runCells(len(slots)*len(strats), func(i int) (SWPAblationCell, error) {
-		s := slots[i/len(strats)]
-		strat := strats[i%len(strats)]
-		lv, err := BuildLivermore(LivermoreConfig{N: n, Threads: s, Strategy: strat, LoadStoreUnits: 1})
-		if err != nil {
-			return SWPAblationCell{}, err
+	var cells []cell
+	var out []SWPAblationCell
+	for _, s := range slots {
+		for _, strat := range []Strategy{ScheduleStrategyB, ScheduleSWP} {
+			c, err := lk1Cell(n, s, strat, 0)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, c)
+			out = append(out, SWPAblationCell{Slots: s, Strategy: strat, CodeSize: len(c.text)})
 		}
-		prog := lv.Par
-		if s == 1 {
-			prog = lv.Seq
-		}
-		m, err := prog.NewMemory(64)
-		if err != nil {
-			return SWPAblationCell{}, err
-		}
-		res, err := RunMT(core.Config{ThreadSlots: s, LoadStoreUnits: 1, StandbyStations: true}, prog.Text, m)
-		if err != nil {
-			return SWPAblationCell{}, fmt.Errorf("swp ablation (%v, %d slots): %w", strat, s, err)
-		}
-		return SWPAblationCell{
-			Slots:         s,
-			Strategy:      strat,
-			CyclesPerIter: float64(res.Cycles) / float64(n),
-			CodeSize:      len(prog.Text),
-		}, nil
-	})
+	}
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, err
+	}
+	for i := range out {
+		out[i].CyclesPerIter = float64(res[i].Cycles) / float64(n)
 	}
 	return out, nil
 }
@@ -513,35 +409,16 @@ func RunStandbyDepth(w RayTraceConfig, slots int, depths []int) ([]StandbyDepthC
 	if err != nil {
 		return nil, err
 	}
-	// Cell 0 is the sequential baseline; cells 1.. sweep the depths.
-	cycles, err := runCells(1+len(depths), func(i int) (uint64, error) {
-		if i == 0 {
-			mSeq, err := rt.NewMemory(rt.Seq, 1)
-			if err != nil {
-				return 0, err
-			}
-			base, err := RunRISC(RISCConfig{LoadStoreUnits: 1}, rt.Seq.Text, mSeq)
-			if err != nil {
-				return 0, err
-			}
-			return base.Cycles, nil
-		}
-		d := depths[i-1]
-		m, err := rt.NewMemory(rt.Par, slots)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMT(core.Config{
+	cells := []cell{seqCell(rt, rt.Seq, 1)}
+	for _, d := range depths {
+		cells = append(cells, parCell(rt, rt.Par, MTConfig{
 			ThreadSlots:     slots,
 			LoadStoreUnits:  1,
 			StandbyStations: true,
 			StandbyDepth:    d,
-		}, rt.Par.Text, m)
-		if err != nil {
-			return 0, fmt.Errorf("standby depth %d: %w", d, err)
-		}
-		return res.Cycles, nil
-	})
+		}))
+	}
+	res, err := runGrid(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -549,8 +426,8 @@ func RunStandbyDepth(w RayTraceConfig, slots int, depths []int) ([]StandbyDepthC
 	for i, d := range depths {
 		out = append(out, StandbyDepthCell{
 			Depth:   d,
-			Cycles:  cycles[i+1],
-			Speedup: float64(cycles[0]) / float64(cycles[i+1]),
+			Cycles:  res[1+i].Cycles,
+			Speedup: ratio(res[0].Cycles, res[1+i].Cycles),
 		})
 	}
 	return out, nil
@@ -566,37 +443,26 @@ type UnrollCell struct {
 
 // RunUnrollAblation sweeps the unroll factor under strategy A.
 func RunUnrollAblation(n int, slots, unrolls []int) ([]UnrollCell, error) {
-	// Each (slots, unroll) cell builds its own program; run the grid on the
-	// sweep engine.
-	type spec struct{ s, u int }
-	var specs []spec
+	var cells []cell
+	var out []UnrollCell
 	for _, s := range slots {
 		for _, u := range unrolls {
-			specs = append(specs, spec{s: s, u: u})
+			c, err := lk1Cell(n, s, ScheduleStrategyA, u)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, c)
+			out = append(out, UnrollCell{Slots: s, Unroll: u})
 		}
 	}
-	return runCells(len(specs), func(i int) (UnrollCell, error) {
-		sp := specs[i]
-		lv, err := BuildLivermore(LivermoreConfig{
-			N: n, Threads: sp.s, Strategy: ScheduleStrategyA, Unroll: sp.u, LoadStoreUnits: 1,
-		})
-		if err != nil {
-			return UnrollCell{}, err
-		}
-		prog := lv.Par
-		if sp.s == 1 {
-			prog = lv.Seq
-		}
-		m, err := prog.NewMemory(64)
-		if err != nil {
-			return UnrollCell{}, err
-		}
-		res, err := RunMT(core.Config{ThreadSlots: sp.s, LoadStoreUnits: 1, StandbyStations: true}, prog.Text, m)
-		if err != nil {
-			return UnrollCell{}, fmt.Errorf("unroll %d (%d slots): %w", sp.u, sp.s, err)
-		}
-		return UnrollCell{Slots: sp.s, Unroll: sp.u, CyclesPerIter: float64(res.Cycles) / float64(n)}, nil
-	})
+	res, err := runGrid(cells)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i].CyclesPerIter = float64(res[i].Cycles) / float64(n)
+	}
+	return out, nil
 }
 
 // BranchHidingCell measures how multithreading hides branch delays
@@ -661,90 +527,56 @@ func RunBranchHiding(slots []int) ([]BranchHidingCell, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	mkMem := func(threads int) (*Memory, error) {
-		m, err := prog.NewMemory(64)
+	// The RISC machine rejects ffork, so the baseline runs the kernel
+	// without it, as one thread.
+	seqProg, err := Assemble(strings.Replace(branchySrc, "\tffork\n", "", 1))
+	if err != nil {
+		return nil, 0, err
+	}
+	// Cell 0 is the baseline; then per slot count the shared fetch unit,
+	// two fetch units and private fetch units.
+	cells := []cell{riscCell(seqProg.Text, branchyMemory(seqProg, 1), 1)}
+	for _, s := range slots {
+		for _, fetch := range []MTConfig{{FetchUnits: 1}, {FetchUnits: 2}, {PrivateICache: true}} {
+			fetch.ThreadSlots = s
+			fetch.StandbyStations = true
+			cells = append(cells, mtCell(prog.Text, branchyMemory(prog, s), fetch))
+		}
+	}
+	res, err := runGrid(cells)
+	if err != nil {
+		return nil, 0, err
+	}
+	seq := res[0].Cycles
+	var out []BranchHidingCell
+	for i, s := range slots {
+		r := res[1+3*i:]
+		speedup := ratio(seq, r[0].Cycles)
+		out = append(out, BranchHidingCell{
+			Slots:          s,
+			Cycles:         r[0].Cycles,
+			Speedup:        speedup,
+			PerThreadEff:   speedup / float64(s),
+			TwoFetch:       ratio(seq, r[1].Cycles),
+			PrivateSpeedup: ratio(seq, r[2].Cycles),
+		})
+	}
+	return out, seq, nil
+}
+
+// branchyMemory builds the branchy kernel's memory for p run by threads
+// threads.
+func branchyMemory(p *Program, threads int) func() (*Memory, error) {
+	return func() (*Memory, error) {
+		m, err := p.NewMemory(64)
 		if err != nil {
 			return nil, err
 		}
-		m.SetInt(prog.MustSymbol("gthreadsbh"), int64(threads))
-		base := prog.MustSymbol("vals")
+		m.SetInt(p.MustSymbol("gthreadsbh"), int64(threads))
+		base := p.MustSymbol("vals")
 		for i := int64(0); i < 96; i++ {
 			m.SetInt(base+i, 3+i*7%97)
 		}
 		return m, nil
 	}
-
-	// Sequential baseline (same program, one thread, on the RISC machine —
-	// ffork degrades on a 1-thread basis, so build a fork-free variant by
-	// running the MT machine? No: the RISC machine rejects ffork, so the
-	// baseline uses the multithreaded pipeline with one slot *and* the
-	// RISC machine via a forkless program below).
-	seqProg, err := Assemble(strings.Replace(branchySrc, "\tffork\n", "", 1))
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Cell 0 is the RISC baseline; then three fetch variants per slot count.
-	variants := []struct {
-		fetchUnits int
-		private    bool
-	}{{1, false}, {2, false}, {0, true}}
-	cycles, err := runCells(1+len(slots)*len(variants), func(i int) (uint64, error) {
-		if i == 0 {
-			mSeq, err := seqProg.NewMemory(64)
-			if err != nil {
-				return 0, err
-			}
-			mSeq.SetInt(seqProg.MustSymbol("gthreadsbh"), 1)
-			base := seqProg.MustSymbol("vals")
-			for j := int64(0); j < 96; j++ {
-				mSeq.SetInt(base+j, 3+j*7%97)
-			}
-			seq, err := RunRISC(RISCConfig{}, seqProg.Text, mSeq)
-			if err != nil {
-				return 0, err
-			}
-			return seq.Cycles, nil
-		}
-		s := slots[(i-1)/len(variants)]
-		variant := variants[(i-1)%len(variants)]
-		m, err := mkMem(s)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMT(core.Config{
-			ThreadSlots:     s,
-			StandbyStations: true,
-			FetchUnits:      variant.fetchUnits,
-			PrivateICache:   variant.private,
-		}, prog.Text, m)
-		if err != nil {
-			return 0, fmt.Errorf("branch hiding (%d slots): %w", s, err)
-		}
-		return res.Cycles, nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	seqCycles := cycles[0]
-	var out []BranchHidingCell
-	for si, s := range slots {
-		cell := BranchHidingCell{Slots: s}
-		for vi, variant := range variants {
-			c := cycles[1+si*len(variants)+vi]
-			sp := float64(seqCycles) / float64(c)
-			switch {
-			case variant.private:
-				cell.PrivateSpeedup = sp
-			case variant.fetchUnits == 2:
-				cell.TwoFetch = sp
-			default:
-				cell.Cycles = c
-				cell.Speedup = sp
-				cell.PerThreadEff = sp / float64(s)
-			}
-		}
-		out = append(out, cell)
-	}
-	return out, seqCycles, nil
 }

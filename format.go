@@ -126,7 +126,7 @@ func FormatUtilization(res MTResult, slots, lsUnits int) string {
 		slots, lsUnits, res.Cycles)
 	for _, u := range res.Units {
 		fmt.Fprintf(&b, "%-10s[%d]: N=%-9d U=%5.1f%%\n",
-			unitClassName(u.Class), u.Index, u.Invocations, u.Utilization(res.Cycles))
+			u.Class, u.Index, u.Invocations, u.Utilization(res.Cycles))
 	}
 	return b.String()
 }
