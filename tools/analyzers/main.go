@@ -52,8 +52,10 @@
 //     shared run tail (hirata.go) may call core.New or core.NewTraceDriven.
 //     Every other simulation goes through hirata.Run or hirata.ReplayTraces,
 //     so the StrictVerify gate, ledger recording and Collector finalization
-//     apply to all of them alike. _test.go files and the perfbench module,
-//     which drives the core directly by design, are exempt.
+//     apply to all of them alike. Inside the root package, only hirata.go
+//     and the experiment grid (grid.go) may call Run, RunMT, RunRISC or
+//     ReplayTraces. _test.go files and the perfbench module, which drives
+//     the core directly by design, are exempt.
 //
 // Usage (from the module root):
 //

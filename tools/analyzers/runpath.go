@@ -7,6 +7,11 @@ package main
 // its results quietly stop matching the other run paths. hirata.Run and
 // hirata.ReplayTraces are the two front ends of that tail.
 //
+// Inside the root package, one step further: only the facade (runTailFile)
+// and the experiment grid (gridFile) may call Run, RunMT, RunRISC or
+// ReplayTraces. Every experiment runs its cells through runGrid, so a
+// check or a record added there covers every cell of every table.
+//
 // Exempt:
 //   - internal/core itself;
 //   - runTailFile, the root-package file that holds the run tail;
@@ -23,11 +28,19 @@ import (
 	"strings"
 )
 
-// runTailFile is the root-package file holding the shared run tail.
-const runTailFile = "hirata.go"
+// runTailFile is the root-package file holding the shared run tail, and
+// gridFile the one holding the experiment grid.
+const (
+	runTailFile = "hirata.go"
+	gridFile    = "grid.go"
+)
 
 // runPathCtors are the internal/core constructors reserved to the tail.
 var runPathCtors = map[string]bool{"New": true, "NewTraceDriven": true}
+
+// facadeRuns are the root package's simulation entry points, which only
+// runTailFile and gridFile may call from inside the package.
+var facadeRuns = map[string]bool{"Run": true, "RunMT": true, "RunRISC": true, "ReplayTraces": true}
 
 // checkRunPath runs the runpath analysis over one package unit.
 func checkRunPath(fset *token.FileSet, pkgPath string, files []*ast.File, info *types.Info) []string {
@@ -42,21 +55,36 @@ func checkRunPath(fset *token.FileSet, pkgPath string, files []*ast.File, info *
 	var findings []string
 	for _, f := range files {
 		name := fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") || (pkgPath == modulePath && filepath.Base(name) == runTailFile) {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
+		base := filepath.Base(name)
+		root := pkgPath == modulePath
 		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || !runPathCtors[sel.Sel.Name] {
-				return true
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if !runPathCtors[n.Sel.Name] || (root && base == runTailFile) {
+					return true
+				}
+				fn, ok := info.Uses[n.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != corePkg {
+					return true
+				}
+				findings = append(findings, fmt.Sprintf(
+					"%s: runpath: core.%s outside the run tail (%s); run through hirata.Run or hirata.ReplayTraces",
+					fset.Position(n.Pos()), n.Sel.Name, runTailFile))
+			case *ast.Ident:
+				if !root || !facadeRuns[n.Name] || base == runTailFile || base == gridFile {
+					return true
+				}
+				fn, ok := info.Uses[n].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != modulePath || fn.Type().(*types.Signature).Recv() != nil {
+					return true
+				}
+				findings = append(findings, fmt.Sprintf(
+					"%s: runpath: %s outside %s and %s; run experiment cells through runGrid",
+					fset.Position(n.Pos()), n.Name, runTailFile, gridFile))
 			}
-			fn, ok := info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != corePkg {
-				return true
-			}
-			findings = append(findings, fmt.Sprintf(
-				"%s: runpath: core.%s outside the run tail (%s); run through hirata.Run or hirata.ReplayTraces",
-				fset.Position(sel.Pos()), sel.Sel.Name, runTailFile))
 			return true
 		})
 	}

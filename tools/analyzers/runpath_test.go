@@ -70,3 +70,48 @@ func TestRunPathExemptions(t *testing.T) {
 		}
 	}
 }
+
+const facadeRunFixture = `package hirata
+
+func Run()          {}
+func RunMT()        {}
+func RunRISC()      {}
+func ReplayTraces() {}
+
+type machine struct{}
+
+// good: a method that shares an entry point's name is not one.
+func (machine) Run() {}
+
+// bad: an experiment that runs its simulations outside the grid.
+func table() {
+	Run()
+	RunMT()
+	RunRISC()
+	f := ReplayTraces
+	f()
+	machine{}.Run()
+}
+`
+
+// Inside the root package, every use of a run entry point outside the
+// facade and the grid is a finding; the facade, the grid, test files and
+// other packages may use them.
+func TestRunPathFacadeRuns(t *testing.T) {
+	for _, tc := range []struct {
+		pkgPath, file string
+		want          int
+	}{
+		{"hirata", "multiprogram.go", 4},
+		{"hirata", runTailFile, 0},
+		{"hirata", gridFile, 0},
+		{"hirata", "experiments_test.go", 0},
+		{"hirata/cmd/hirata-bench", "main.go", 0},
+	} {
+		fset, files, info := typecheckFile(t, tc.pkgPath, tc.file, facadeRunFixture)
+		fs := checkRunPath(fset, tc.pkgPath, files, info)
+		if len(fs) != tc.want {
+			t.Errorf("%s/%s: runpath findings = %d, want %d:\n%s", tc.pkgPath, tc.file, len(fs), tc.want, strings.Join(fs, "\n"))
+		}
+	}
+}
