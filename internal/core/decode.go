@@ -133,7 +133,7 @@ func (p *Processor) decodeAndAdvance() error {
 // wider widths implement the hybrid superscalar thread slots of §3.3.
 func (p *Processor) issueFromSlot(s *slot) error {
 	if len(s.d2) == 0 {
-		if s.fetchDone && s.buf.len() == 0 && !p.fetching(s) {
+		if s.fetchDone && len(s.arb)+s.qn == 0 && !p.fetching(s) {
 			// The thread's next pc lies outside its stream, so nothing can
 			// ever reach its decode unit again.
 			stream := "program"
@@ -141,7 +141,7 @@ func (p *Processor) issueFromSlot(s *slot) error {
 				stream = "trace"
 			}
 			return fmt.Errorf("core: slot %d: pc %d outside %s of %d instructions",
-				s.id, s.fetchPC, stream, p.streamLen(p.frames[s.frame]))
+				s.id, s.qpc, stream, p.streamLen(p.frames[s.frame]))
 		}
 		p.stall(s, -1, StallEmpty)
 		return nil
@@ -312,7 +312,7 @@ func (p *Processor) tryIssue(s *slot, di *dinstr, headClear bool, pendingDests, 
 
 	// Source operands: queue-register reads need a filled, ready entry;
 	// plain registers consult the scoreboard.
-	if ok, r, until := p.sourcesReady(s, f, pre.srcList()); !ok {
+	if ok, r, until := p.sourcesReady(s, f, pre); !ok {
 		if until != 0 {
 			p.cacheHeadStall(s, pre, until, r)
 		}
@@ -331,8 +331,8 @@ func (p *Processor) tryIssue(s *slot, di *dinstr, headClear bool, pendingDests, 
 				return false, StallQueueFull, false, nil
 			}
 		default:
-			if !f.scoreboardReady(dest, p.cycle) {
-				p.cacheHeadStall(s, pre, f.readyAt[sbIndex(dest)], StallData)
+			if at := f.readyAt[pre.destSB]; at > p.cycle {
+				p.cacheHeadStall(s, pre, at, StallData)
 				return false, StallData, false, nil
 			}
 		}
@@ -401,12 +401,11 @@ func (p *Processor) tryIssue(s *slot, di *dinstr, headClear bool, pendingDests, 
 	inf.class = cls
 	inf.extraLat = extraLat
 	inf.push = push
-	if dest.Valid() && !destQueue {
-		inf.dest = dest
-		f.markPending(dest)
-	} else {
-		inf.dest = isa.NoReg
+	inf.dest = pre.destSB
+	if destQueue {
+		inf.dest = sbNone
 	}
+	f.setReady(inf.dest, pendingReady)
 	if p.cfg.StandbyStations {
 		s.standby[cls] = append(s.standby[cls], inf)
 	} else {
@@ -426,17 +425,17 @@ func (p *Processor) tryIssue(s *slot, di *dinstr, headClear bool, pendingDests, 
 // pendingReady sentinel while the producer awaits selection), which feeds
 // the head-stall cache; queue-register misses return 0 — a queue can fill
 // on any cycle, so they are never cacheable.
-func (p *Processor) sourcesReady(s *slot, f *contextFrame, srcs []isa.Reg) (bool, StallReason, uint64) {
+func (p *Processor) sourcesReady(s *slot, f *contextFrame, pre *insMeta) (bool, StallReason, uint64) {
 	needIntPop, needFPPop := false, false
-	for _, r := range srcs {
+	for i, r := range pre.srcList() {
 		switch {
 		case r == s.qInInt && s.qInInt != isa.NoReg:
 			needIntPop = true
 		case r == s.qInFP && s.qInFP != isa.NoReg:
 			needFPPop = true
 		default:
-			if !f.scoreboardReady(r, p.cycle) {
-				return false, StallData, f.readyAt[sbIndex(r)]
+			if at := f.readyAt[pre.srcSB[i]]; at > p.cycle {
+				return false, StallData, at
 			}
 		}
 	}
@@ -472,7 +471,7 @@ func (p *Processor) issueControl(s *slot, f *contextFrame, di *dinstr) (bool, St
 
 	// Branch conditions and jump targets read registers in the decode
 	// unit; they must be ready.
-	if ok, r, _ := p.sourcesReady(s, f, di.pre.srcList()); !ok {
+	if ok, r, _ := p.sourcesReady(s, f, di.pre); !ok {
 		return false, r, false, nil
 	}
 
@@ -499,16 +498,12 @@ func (p *Processor) issueControl(s *slot, f *contextFrame, di *dinstr) (bool, St
 	case exec.EffectNone:
 		// NOP; also TID and JAL-style link writes already applied. Results
 		// computed in the decode unit are usable the next cycle.
-		if d := in.Dest(); d.Valid() {
-			f.setReady(d, p.cycle+1)
-		}
+		f.setReady(di.pre.destSB, p.cycle+1)
 		return true, StallNone, false, nil
 
 	case exec.EffectBranch:
 		p.stats.Slots[s.id].Branches++
-		if d := in.Dest(); d.Valid() { // jal link register
-			f.setReady(d, p.cycle+1)
-		}
+		f.setReady(di.pre.destSB, p.cycle+1) // jal link register
 		next := di.pc + 1
 		if out.Taken {
 			next = out.Target
@@ -566,7 +561,7 @@ func (p *Processor) issueControl(s *slot, f *contextFrame, di *dinstr) (bool, St
 // the paper's 5-cycle branch delay on an otherwise idle fetch unit.
 func (p *Processor) redirect(s *slot, pc int64) {
 	s.flushPipeline()
-	s.fetchPC = pc
+	s.qpc = pc
 	s.fetchDone = pc >= p.streamLen(p.frames[s.frame]) || pc < 0
 	s.fetchHoldUntil = p.cycle + 1
 	p.refreshFetchable(s)

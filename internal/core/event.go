@@ -5,7 +5,7 @@ package core
 // sets —
 //
 //   - a pending-event set (evNear/evFar) of future cycles at which *timed*
-//     state can change: completions leaving the ring, functional units
+//     state can change: results completing, functional units
 //     going free, fetch deliveries, context-switch rebind delays, and (via
 //     the separate waitHeap, which needs (when, id) ordering) remote-data
 //     arrivals;
@@ -151,7 +151,7 @@ func (p *Processor) clearIssuedSlot(s *slot) {
 // timed condition checked at the scan, so a held slot costs one filtered
 // visit per cycle instead of an event push per redirect.
 func (p *Processor) refreshFetchable(s *slot) {
-	if s.state == slotRunning && !s.fetchDone && s.buf.len()-s.d1n < s.bufCap {
+	if s.state == slotRunning && !s.fetchDone && s.buffered() < s.bufCap {
 		p.fetchable |= slotBit(s.id)
 	} else {
 		p.fetchable &^= slotBit(s.id)
@@ -196,78 +196,4 @@ func (p *Processor) allocInflight() *inflight {
 func (p *Processor) freeInflight(inf *inflight) {
 	*inf = inflight{}
 	p.infPool = append(p.infPool, inf)
-}
-
-// insRing is a slot's instruction queue buffer as a growable power-of-two
-// ring. The previous []bufEntry pop-front (`buf[:copy(buf, buf[1:])]`)
-// moved every remaining pointer-bearing entry one position per drained
-// instruction — typedslicecopy plus write barriers were among the top
-// profile entries. The ring pops by bumping an index.
-type insRing struct {
-	e    []bufEntry
-	head int
-	n    int
-}
-
-func (r *insRing) len() int { return r.n }
-
-// reset empties the ring. Stale entries are not zeroed: the only pointer a
-// bufEntry holds (dinstr.pre) targets the processor-lifetime predecode
-// arrays, so a dead entry retains nothing the live processor does not.
-func (r *insRing) reset() {
-	r.head, r.n = 0, 0
-}
-
-// front returns the oldest entry. Callers check len() first.
-func (r *insRing) front() *bufEntry { return &r.e[r.head] }
-
-// at returns the i-th oldest entry, 0 <= i < len().
-func (r *insRing) at(i int) *bufEntry { return &r.e[(r.head+i)&(len(r.e)-1)] }
-
-// popFront drops the oldest entry without zeroing it (see reset).
-func (r *insRing) popFront() {
-	r.head = (r.head + 1) & (len(r.e) - 1)
-	r.n--
-}
-
-// reserve grows the storage (doubling, re-linearized) until n more entries
-// fit, letting bulk producers fill slots via at() without per-entry grow
-// checks.
-func (r *insRing) reserve(n int) {
-	need := r.n + n
-	if need <= len(r.e) {
-		return
-	}
-	sz := maxInt(2*len(r.e), 8)
-	for sz < need {
-		sz *= 2
-	}
-	grown := make([]bufEntry, sz)
-	for i := 0; i < r.n; i++ {
-		grown[i] = r.e[(r.head+i)&(len(r.e)-1)]
-	}
-	r.e = grown
-	r.head = 0
-}
-
-// push appends an entry, growing the storage (doubling, re-linearized) on
-// demand so small runs never pay for the configured maximum capacity.
-func (r *insRing) push(e bufEntry) {
-	if r.n == len(r.e) {
-		grown := make([]bufEntry, maxInt(2*len(r.e), 8))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.e[(r.head+i)&(len(r.e)-1)]
-		}
-		r.e = grown
-		r.head = 0
-	}
-	r.e[(r.head+r.n)&(len(r.e)-1)] = e
-	r.n++
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -125,7 +125,10 @@ func TestEventHorizonNeverLate(t *testing.T) {
 // while missing one would alter results — so each machine resource that
 // can wake the pipeline contributes its own bound:
 //
-//   - completion ring: the next non-empty retire list (outstanding > 0);
+//   - completion deadlines: the earliest slot doneAt past the cycle (a
+//     draining slot unbinds, and the run ends, only at such a deadline),
+//     and with an observer attached the next non-empty compDetail bucket
+//     (Observer.Complete must fire on time);
 //   - wait heap: the earliest frame wake deadline (stale entries are at
 //     worst early, never late);
 //   - ready queue: the earliest rebind time of an idle slot;
@@ -146,9 +149,14 @@ func (p *Processor) quiescentHorizonScan() uint64 {
 	floor := p.cycle + 1
 	t := uint64(noEvent)
 
-	if p.outstanding > 0 {
+	for _, s := range p.slots {
+		if s.doneAt > p.cycle {
+			t = minEvent(t, s.doneAt)
+		}
+	}
+	if p.compDetail != nil {
 		for d := uint64(1); d <= p.compMask+1; d++ {
-			if len(p.completions[(p.cycle+d)&p.compMask]) > 0 {
+			if len(p.compDetail[(p.cycle+d)&p.compMask]) > 0 {
 				t = minEvent(t, p.cycle+d)
 				break
 			}
@@ -186,7 +194,7 @@ func (p *Processor) quiescentHorizonScan() uint64 {
 		}
 	}
 	for _, s := range p.slots {
-		if s.state == slotDraining && s.outstanding == 0 && s.issuedEmpty() {
+		if s.state == slotDraining && s.doneAt <= p.cycle && s.issuedEmpty() {
 			t = minEvent(t, floor) // unbinds at the next bindSlots
 		}
 	}

@@ -10,32 +10,50 @@ func (p *Processor) fetcherFor(slotID int) *fetchUnit {
 // advanceSlot advances one running slot's decode stages by one cycle:
 // D1→D2 and buffer→D1. Each stage holds up to w (IssueWidth) instructions
 // and advances once per cycle, so an instruction spends one cycle in each
-// decode stage. D1 occupants are not copied anywhere: the first d1n ring
+// decode stage. D1 occupants are not copied anywhere: the first d1n buffer
 // entries ARE stage D1, so entering D1 is a counter increment and only the
-// D1→D2 move materializes the dinstr. The move set is slot-local (own
-// buffer, D1 counter, D2 window, and the slot's bit in the fetchable set),
-// which is what lets decodeAndAdvance interleave it with issue on other
-// slots without changing results.
+// D1→D2 move materializes the dinstr. Every buffer entry may enter D1 at
+// the first decode after it arrived: deliveries run after decode, and only
+// the access requirements a bind re-injects wait for arbD1. The move set is
+// slot-local (own buffer, D1 counter, D2 window, and the slot's bit in the
+// fetchable set), which is what lets decodeAndAdvance interleave it with
+// issue on other slots without changing results.
 func (p *Processor) advanceSlot(s *slot, w int) {
-	if s.buf.len() == 0 {
-		return // D1 and the buffer are both empty: nothing to move in
-	}
-	if len(s.d2) >= w && s.d1n >= w {
-		return // no space anywhere
+	n := len(s.arb) + s.qn
+	if n == 0 || p.cycle < s.arbD1 {
+		return // nothing to move in yet
 	}
 	for len(s.d2) < w && s.d1n > 0 {
-		s.d2 = append(s.d2, s.buf.front().d)
-		s.buf.popFront()
+		s.d2 = append(s.d2, p.popBuffer(s))
 		s.d1n--
+		n--
 	}
-	popped := false
-	for s.d1n < w && s.buf.len() > s.d1n && s.buf.at(s.d1n).minD1 <= p.cycle {
-		s.d1n++
-		popped = true
-	}
-	if popped {
+	if d1 := min(w, n); d1 > s.d1n {
+		s.d1n = d1
 		p.refreshFetchable(s) // buffer space opened up
 	}
+}
+
+// popBuffer removes the oldest queue-buffer entry and returns it as a
+// decode-stage instruction, read from the access requirement, the program
+// or the frame's trace.
+func (p *Processor) popBuffer(s *slot) dinstr {
+	if len(s.arb) > 0 {
+		// Traps cannot occur during trace replay, so a re-injected access
+		// requirement always indexes the program's metadata.
+		req := s.arb[0]
+		s.arb = s.arb[:copy(s.arb, s.arb[1:])]
+		return dinstr{pc: req.PC, ins: req.Instr, pre: &p.pre[req.PC], fromARB: true, arbSeq: req.Seq}
+	}
+	pc := s.qpc
+	s.qpc++
+	s.qn--
+	if p.traceMode {
+		t := p.frames[s.frame].traceID
+		k := p.traceIdx[t][pc]
+		return dinstr{pc: pc, ins: p.prog[k], pre: &p.pre[k], addr: p.traces[t][pc].Addr}
+	}
+	return dinstr{pc: pc, ins: p.prog[pc], pre: &p.pre[pc]}
 }
 
 // fetchPhase advances every instruction fetch unit: finish in-flight cache
@@ -63,12 +81,11 @@ func (p *Processor) fetchPhase() {
 	}
 }
 
-// deliver completes an access: instructions become readable by decode after
-// the buffer-read stage, one cycle after delivery. The instructions are
-// materialized here, straight into the slot's queue buffer — beginAccess
-// only recorded the stream range. That is result-identical to capturing
-// them at access start: streams are immutable per frame, and any frame
-// rebind or flush in between bumps fetchGen, which voids the delivery.
+// deliver completes an access: the delivered stream range joins the slot's
+// queue buffer, readable by decode after the buffer-read stage, one cycle
+// after delivery. Streams are immutable per frame, and any frame rebind or
+// flush since the access began bumps fetchGen, which voids the delivery;
+// so the range starts at qpc+qn.
 func (p *Processor) deliver(fu *fetchUnit) {
 	fu.busy = false
 	p.busyFetchers--
@@ -76,23 +93,7 @@ func (p *Processor) deliver(fu *fetchUnit) {
 	if fu.gen != s.fetchGen || s.state != slotRunning {
 		return
 	}
-	f := p.frames[s.frame]
-	minD1 := p.cycle + 1
-	if p.traceMode && f.traceID >= 0 {
-		recs, idx := p.traces[f.traceID], p.traceIdx[f.traceID]
-		for pc := fu.pc0; pc < fu.pc1; pc++ {
-			k := idx[pc]
-			s.buf.push(bufEntry{d: dinstr{pc: pc, ins: p.prog[k], pre: &p.pre[k], addr: recs[pc].Addr}, minD1: minD1})
-		}
-	} else {
-		n := int(fu.pc1 - fu.pc0)
-		s.buf.reserve(n)
-		for i := 0; i < n; i++ {
-			pc := fu.pc0 + int64(i)
-			*s.buf.at(s.buf.n + i) = bufEntry{d: dinstr{pc: pc, ins: p.prog[pc], pre: &p.pre[pc]}, minD1: minD1}
-		}
-		s.buf.n += n
-	}
+	s.qn += int(fu.pc1 - fu.pc0)
 	p.refreshFetchable(s)
 	p.touch(p.cycle + 1)
 }
@@ -138,7 +139,7 @@ func (p *Processor) startFetch(fuIndex int, fu *fetchUnit) {
 
 // wantsFetch reports whether a slot needs its queue buffer filled.
 func (p *Processor) wantsFetch(s *slot) bool {
-	return s.state == slotRunning && !s.fetchDone && s.buf.len()-s.d1n < s.bufCap &&
+	return s.state == slotRunning && !s.fetchDone && s.buffered() < s.bufCap &&
 		p.cycle >= s.fetchHoldUntil
 }
 
@@ -149,35 +150,28 @@ func (p *Processor) fetching(s *slot) bool {
 	return fu.busy && fu.target == s.id && fu.gen == s.fetchGen
 }
 
-// beginAccess starts one instruction cache access for a slot, capturing the
-// instructions it will deliver.
+// beginAccess starts one instruction cache access for a slot, recording the
+// stream range it will deliver: from the end of the slot's buffer, qpc+qn.
 func (p *Processor) beginAccess(fu *fetchUnit, slotID int) {
 	s := p.slots[slotID]
-	space := s.bufCap - (s.buf.len() - s.d1n)
-	if space > p.fetchMax {
-		space = p.fetchMax
-	}
+	space := min(s.bufCap-s.buffered(), p.fetchMax)
 	if space <= 0 || s.fetchDone {
 		return
 	}
-	f := p.frames[s.frame]
-	streamLen := p.streamLen(f)
-	end := s.fetchPC + int64(space)
-	if end > streamLen {
-		end = streamLen
-	}
-	if end <= s.fetchPC {
+	streamLen := p.streamLen(p.frames[s.frame])
+	start := s.qpc + int64(s.qn)
+	end := min(start+int64(space), streamLen)
+	if end <= start {
 		s.fetchDone = true
 		p.refreshFetchable(s)
 		return
 	}
-	lat := fu.icache.Access(s.fetchPC)
+	lat := fu.icache.Access(start)
 	fu.busy = true
 	fu.busyUntil = p.cycle + uint64(lat) - 1
 	fu.target = slotID
 	fu.gen = s.fetchGen
-	fu.pc0, fu.pc1 = s.fetchPC, end
-	s.fetchPC = end
+	fu.pc0, fu.pc1 = start, end
 	if end >= streamLen {
 		s.fetchDone = true
 	}

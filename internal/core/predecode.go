@@ -8,11 +8,13 @@ import "hirata/internal/isa"
 // the instruction word each time (the dominant cost in issueFromSlot and
 // tryIssue). One insMeta exists per program position (per distinct
 // instruction in trace mode, see internTraces) and is shared by reference
-// through bufEntry, dinstr and inflight.
+// through dinstr and inflight.
 type insMeta struct {
 	srcs      [2]isa.Reg // source registers (nsrc valid entries)
+	srcSB     [2]uint8   // their scoreboard indices (sbIndex)
 	nsrc      uint8
 	dest      isa.Reg // destination register, NoReg if none
+	destSB    uint8   // its scoreboard index
 	class     isa.UnitClass
 	issueLat  uint64
 	resultLat uint64
@@ -39,6 +41,10 @@ func buildMeta(in isa.Instruction) insMeta {
 	m.control = m.class == isa.UnitNone
 	srcs := in.Sources(m.srcs[:0]) // at most 2 sources for any format
 	m.nsrc = uint8(len(srcs))
+	for i, r := range srcs {
+		m.srcSB[i] = sbIndex(r)
+	}
+	m.destSB = sbIndex(m.dest)
 	return m
 }
 

@@ -34,8 +34,8 @@ type contextFrame struct {
 	traceID   int // index into Processor.traces; -1 in execution-driven mode
 	state     frameState
 	regs      exec.RegFile
-	pc        int64 // instruction address save register
-	readyAt   [isa.NumIntRegs + isa.NumFPRegs]uint64
+	pc        int64              // instruction address save register
+	readyAt   [sbNone + 1]uint64 // by scoreboard index (sbIndex)
 	arb       mem.AccessRequirementBuffer
 	waitUntil uint64         // when the remote data arrives
 	satisfied map[int64]bool // remote addresses now locally available
@@ -48,34 +48,26 @@ func frameLive(st frameState) bool {
 	return st == frameReady || st == frameRunning || st == frameWaiting
 }
 
-// sbIndex maps a register to its scoreboard slot.
-func sbIndex(r isa.Reg) int {
-	if r.IsFP() {
-		return isa.NumIntRegs + r.Index()
+// sbNone is the scoreboard index of r0 and of absent registers: a readyAt
+// entry past the 64 register entries that is never written, so it always
+// reads ready.
+const sbNone = isa.NumIntRegs + isa.NumFPRegs
+
+// sbIndex maps a register to its scoreboard index, which the predecoded
+// metadata carries: a register's own number (r0..r31, then f0..f31), or
+// sbNone.
+func sbIndex(r isa.Reg) uint8 {
+	if !r.Valid() || r == isa.R0 {
+		return sbNone
 	}
-	return r.Index()
+	return uint8(r)
 }
 
-// scoreboardReady reports whether register r is free of pending writes at
-// the given cycle.
-func (f *contextFrame) scoreboardReady(r isa.Reg, cycle uint64) bool {
-	if !r.Valid() || (r.IsInt() && r.Index() == 0) {
-		return true
-	}
-	return f.readyAt[sbIndex(r)] <= cycle
-}
-
-// markPending flags r busy until the producing instruction is scheduled.
-func (f *contextFrame) markPending(r isa.Reg) {
-	if r.Valid() && !(r.IsInt() && r.Index() == 0) {
-		f.readyAt[sbIndex(r)] = pendingReady
-	}
-}
-
-// setReady records the cycle at which r's pending write completes.
-func (f *contextFrame) setReady(r isa.Reg, cycle uint64) {
-	if r.Valid() && !(r.IsInt() && r.Index() == 0) {
-		f.readyAt[sbIndex(r)] = cycle
+// setReady records the cycle at which the register with scoreboard index
+// sb is written (pendingReady while its producer awaits selection).
+func (f *contextFrame) setReady(sb uint8, cycle uint64) {
+	if sb != sbNone {
+		f.readyAt[sb] = cycle
 	}
 }
 
@@ -83,7 +75,7 @@ func (f *contextFrame) setReady(r isa.Reg, cycle uint64) {
 func (f *contextFrame) reset() {
 	f.regs.Reset()
 	f.pc = 0
-	f.readyAt = [isa.NumIntRegs + isa.NumFPRegs]uint64{}
+	f.readyAt = [sbNone + 1]uint64{}
 	f.arb.Clear()
 	f.waitUntil = 0
 	f.satisfied = nil
@@ -98,13 +90,6 @@ const (
 	slotRunning                   // executing a thread
 	slotDraining                  // waiting for issued instructions before a context switch
 )
-
-// bufEntry is one instruction in a slot's instruction queue unit: the
-// decoded-instruction payload plus the cycle gate for entering decode.
-type bufEntry struct {
-	d     dinstr
-	minD1 uint64 // earliest cycle the entry may enter decode stage D1
-}
 
 // dinstr is an instruction occupying a decode stage.
 type dinstr struct {
@@ -126,7 +111,7 @@ type inflight struct {
 	slot     int
 	frame    int
 	class    isa.UnitClass
-	dest     isa.Reg // NoReg if none or queue-mapped
+	dest     uint8   // scoreboard index to stamp; sbNone if none or queue-mapped
 	push     *qentry // reserved queue entry to stamp at select time
 	extraLat int     // additional result latency (cache miss, remote access)
 }
@@ -134,21 +119,28 @@ type inflight struct {
 // slot is one thread slot: instruction queue unit + decode unit + program
 // counter, forming a logical processor.
 type slot struct {
-	id          int
-	state       slotState
-	frame       int // bound context frame id, -1 when idle
-	buf         insRing
+	id    int
+	state slotState
+	frame int // bound context frame id, -1 when idle
+	// The instruction queue buffer is the re-injected access requirements
+	// (arb) followed by the stream positions [qpc, qpc+qn) of the bound
+	// frame's program or trace; its first d1n entries are decode stage D1
+	// (see advanceSlot). A fetch adds to qn, and fetching resumes at
+	// qpc+qn.
+	arb         []mem.AccessRequirement
+	qpc         int64
+	qn          int
 	bufCap      int
-	fetchPC     int64
+	d1n         int
+	arbD1       uint64      // first cycle the arb entries may enter D1 (the bind cycle + 1)
 	fetchGen    uint64      // invalidates in-flight fetches after a flush
-	fetchDone   bool        // fetchPC ran past the program end
-	d1n         int         // buffer-front entries occupying decode stage D1 (see advanceSlot)
+	fetchDone   bool        // fetching ran past the stream end
 	stallUntil  uint64      // head-of-D2 stall deadline, 0 = none (see cacheHeadStall)
 	stallReason StallReason // cached stall's per-cycle tally reason
 	d2          []dinstr
 	standby     [unitClassCount][]*inflight // FIFO per class, cap = StandbyDepth
 	latch       *inflight                   // used when standby stations are disabled
-	outstanding int                         // selected instructions not yet completed
+	doneAt      uint64                      // latest result-ready cycle of the slot's selected instructions
 	bindReadyAt uint64                      // context-switch rebinding delay
 	// fetchHoldUntil keeps the fetch unit away from this slot until a
 	// branch redirect becomes eligible, so the refetch cannot start in the
@@ -162,12 +154,16 @@ type slot struct {
 
 // flushPipeline empties the decode stages and instruction queue buffer.
 func (s *slot) flushPipeline() {
-	s.buf.reset()
+	s.arb = s.arb[:0]
+	s.qn = 0
 	s.d1n = 0
 	s.stallUntil = 0
 	s.d2 = s.d2[:0]
 	s.fetchGen++
 }
+
+// buffered returns the number of queue-buffer entries behind stage D1.
+func (s *slot) buffered() int { return len(s.arb) + s.qn - s.d1n }
 
 // issuedEmpty reports whether no issued instruction awaits scheduling.
 func (s *slot) issuedEmpty() bool {
@@ -240,6 +236,7 @@ type Processor struct {
 	runningSlots  int         // slots in slotRunning
 	drainingSlots int         // slots in slotDraining
 	issuedPending int         // standby/latch entries not yet selected
+	doneAt        uint64      // latest result-ready cycle of any selected instruction
 	waitHeap      []frameWake // min-heap of (waitUntil, frame id)
 	nextRotation  uint64      // next implicit-rotation boundary (multiple of RotationInterval)
 	stepsExecuted uint64      // stepCycle invocations (cycle-skip effectiveness metric)
@@ -263,20 +260,17 @@ type Processor struct {
 	units      []*funcUnit
 	unitsByCls [unitClassCount][]*funcUnit
 	fetchers   []*fetchUnit // one if shared, one per slot if private
-	// completions is a ring of per-cycle completion lists, sized to the
-	// maximum possible result latency (Table 1 + remote + cache miss).
-	completions [][]int
-	compMask    uint64
-	// compDetail mirrors completions with the facts Observer.Complete
-	// reports. Allocated lazily by Run only when an observer is attached,
-	// so the nil-observer hot loop never touches it.
+	// compDetail is a ring of per-cycle lists of the completions
+	// Observer.Complete reports, sized to the maximum possible result
+	// latency (Table 1 + remote + cache miss). Run allocates it only when
+	// an observer is attached; the machine itself reads doneAt instead.
 	compDetail [][]compDetail
+	compMask   uint64
 	intQueues  []*queueFIFO // ring link read by slot i
 	fpQueues   []*queueFIFO
 
-	outstanding int // total selected-but-incomplete instructions
-	nextTID     int64
-	fetchMax    int // B: instructions delivered per fetch access
+	nextTID  int64
+	fetchMax int // B: instructions delivered per fetch access
 
 	// Trace-driven mode (the paper's §3 methodology): each thread replays
 	// a recorded dynamic instruction stream; decode performs all timing
@@ -430,7 +424,6 @@ func New(cfg Config, prog []isa.Instruction, m *mem.Memory) (*Processor, error) 
 	for ringSize < maxLat+2 {
 		ringSize *= 2
 	}
-	p.completions = make([][]int, ringSize)
 	p.compMask = uint64(ringSize - 1)
 	// The paper sizes the queue buffer at B = S×C words minimum and fetches
 	// at most B instructions per access; we give the buffer 2×B so a fetch
@@ -618,7 +611,7 @@ func (p *Processor) Run() (Result, error) {
 	}
 	p.started = true
 	if p.observer != nil {
-		p.compDetail = make([][]compDetail, len(p.completions))
+		p.compDetail = make([][]compDetail, p.compMask+1)
 	}
 	for {
 		if p.cycle >= p.cfg.MaxCycles {
@@ -650,7 +643,9 @@ func (p *Processor) Run() (Result, error) {
 func (p *Processor) stepCycle() error {
 	p.stepsExecuted++
 	p.rotatePriorities()
-	p.retireCompletions()
+	if p.compDetail != nil {
+		p.reportCompletions()
+	}
 	p.wakeFrames()
 	p.bindSlots()
 	p.schedulePhase()
@@ -662,12 +657,13 @@ func (p *Processor) stepCycle() error {
 }
 
 // finished reports whether the simulation is complete. It consults only
-// live counters — O(1) per cycle instead of a frame+slot scan, which
-// TestFinishedMatchesScan keeps as the reference. Decode stages
-// of non-idle slots need no separate check: d1/d2 are flushed on every
-// transition to idle, and non-idle slots show up in the slot counters.
+// live counters and the machine's completion deadline — O(1) per cycle
+// instead of a frame+slot scan, which TestFinishedMatchesScan keeps as the
+// reference. Decode stages of non-idle slots need no separate check: d1/d2
+// are flushed on every transition to idle, and non-idle slots show up in
+// the slot counters.
 func (p *Processor) finished() bool {
-	return p.outstanding == 0 && p.issuedPending == 0 && len(p.readyQ) == 0 &&
+	return p.doneAt <= p.cycle && p.issuedPending == 0 && len(p.readyQ) == 0 &&
 		p.liveFrames == 0 && p.runningSlots == 0 && p.drainingSlots == 0
 }
 
@@ -718,20 +714,15 @@ func (p *Processor) highestActiveSlot() int {
 	return -1
 }
 
-// retireCompletions credits instructions whose result latency elapsed.
-func (p *Processor) retireCompletions() {
+// reportCompletions tells the observer which instructions' result latency
+// elapses this cycle. Only observed runs keep the compDetail ring: the
+// machine tracks completion through the doneAt deadlines alone.
+func (p *Processor) reportCompletions() {
 	idx := p.cycle & p.compMask
-	for _, id := range p.completions[idx] {
-		p.slots[id].outstanding--
-		p.outstanding--
+	for _, d := range p.compDetail[idx] {
+		p.observer.Complete(p.cycle, d.slot, d.pc, d.ins, d.unit, d.unitIndex)
 	}
-	p.completions[idx] = p.completions[idx][:0]
-	if p.compDetail != nil {
-		for _, d := range p.compDetail[idx] {
-			p.observer.Complete(p.cycle, d.slot, d.pc, d.ins, d.unit, d.unitIndex)
-		}
-		p.compDetail[idx] = p.compDetail[idx][:0]
-	}
+	p.compDetail[idx] = p.compDetail[idx][:0]
 }
 
 // wakeFrames transitions waiting frames whose remote data has arrived.
@@ -775,7 +766,7 @@ func (p *Processor) bindSlots() {
 			if s.state != slotDraining {
 				continue
 			}
-			if s.outstanding == 0 && s.issuedEmpty() {
+			if s.doneAt <= p.cycle && s.issuedEmpty() {
 				p.setSlotState(s, slotIdle)
 				s.frame = -1
 				s.bindReadyAt = p.cycle + uint64(p.cfg.ContextSwitchCycles)
@@ -789,22 +780,17 @@ func (p *Processor) bindSlots() {
 }
 
 // bindFrame binds frame f to slot s and restarts its instruction stream,
-// re-injecting any outstanding access requirements first.
+// re-injecting any outstanding access requirements first. They enter D1 no
+// earlier than the next cycle, as a fetch delivered now would.
 func (p *Processor) bindFrame(s *slot, f *contextFrame) {
 	p.setFrameState(f, frameRunning)
 	p.setSlotState(s, slotRunning)
 	s.frame = f.id
 	s.flushPipeline()
-	s.fetchPC = f.pc
+	s.qpc = f.pc
 	s.fetchDone = f.pc >= p.streamLen(f)
-	for _, req := range f.arb.Pending() {
-		// ARB re-injection happens only in execution-driven mode (traps
-		// cannot occur during trace replay), so program metadata applies.
-		s.buf.push(bufEntry{
-			d:     dinstr{pc: req.PC, ins: req.Instr, pre: &p.pre[req.PC], fromARB: true, arbSeq: req.Seq},
-			minD1: p.cycle + 1,
-		})
-	}
+	s.arb = f.arb.AppendPending(s.arb)
+	s.arbD1 = p.cycle + 1
 	p.refreshFetchable(s)
 	if p.observer != nil {
 		p.observer.Bind(p.cycle, s.id, f.id, f.tid)
@@ -832,8 +818,8 @@ func (p *Processor) touch(cycle uint64) {
 func (p *Processor) snapshot() string {
 	var out strings.Builder
 	for _, s := range p.slots {
-		fmt.Fprintf(&out, "slot %d: state=%d frame=%d buf=%d d1=%d d2=%d outstanding=%d",
-			s.id, s.state, s.frame, s.buf.len()-s.d1n, s.d1n, len(s.d2), s.outstanding)
+		fmt.Fprintf(&out, "slot %d: state=%d frame=%d buf=%d d1=%d d2=%d doneAt=%d",
+			s.id, s.state, s.frame, s.buffered(), s.d1n, len(s.d2), s.doneAt)
 		if len(s.d2) > 0 {
 			fmt.Fprintf(&out, " d2head=%q(pc=%d)", s.d2[0].ins.String(), s.d2[0].pc)
 		}

@@ -107,19 +107,21 @@ func (p *Processor) selectInstr(u *funcUnit, inf *inflight) {
 	}
 	stampQueueEntry(inf.push, ready)
 
+	// The completion matters to the machine only as a deadline: a draining
+	// slot unbinds, and the run ends, once every selected result is ready.
+	// The event at ready lets the quiescent jump stop there.
 	s := p.slots[inf.slot]
-	s.outstanding++
-	p.outstanding++
-	if ready-p.cycle > p.compMask {
-		panic("core: completion ring too small for result latency")
-	}
-	idx := ready & p.compMask
-	p.completions[idx] = append(p.completions[idx], inf.slot)
+	s.doneAt = maxU(s.doneAt, ready)
+	p.doneAt = maxU(p.doneAt, ready)
 	p.pushEv(ready)
 	p.touch(ready)
 	if p.observer != nil {
 		p.observer.Select(p.cycle, inf.slot, inf.pc, inf.ins, u.class, u.index, ready)
 		if p.compDetail != nil {
+			if ready-p.cycle > p.compMask {
+				panic("core: completion ring too small for result latency")
+			}
+			idx := ready & p.compMask
 			p.compDetail[idx] = append(p.compDetail[idx], compDetail{
 				slot: inf.slot, pc: inf.pc, ins: inf.ins, unit: u.class, unitIndex: u.index,
 			})

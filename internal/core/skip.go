@@ -3,21 +3,21 @@ package core
 import "math/bits"
 
 // Quiescent-cycle skipping: when no slot is running a thread, nothing can
-// decode, fetch or retire until a scheduled future event — a completion
-// leaving the ring, a waiting frame's remote data arriving, an idle slot's
-// rebind delay elapsing, a functional or fetch unit going free. Instead of
-// spinning stepCycle through those cycles (the dominant cost of concurrent
-// multithreading runs with 100+-cycle remote latency, §2.1.3), Run jumps
-// p.cycle straight to the earliest such event. Results are cycle-exact:
-// per-cycle stall statistics only accrue on running slots, so a stretch
-// with runningSlots == 0 is observationally identical whether stepped or
-// skipped, provided priority rotation is fast-forwarded the same number of
-// boundaries. The same holds for the Observer stream: completions, binds,
-// wakes and standby selections are all events the horizon stops at, so
-// the only events a quiescent stretch can produce are the implicit
-// rotations, which fastForwardRotation reports. Observed runs therefore
-// skip exactly as bare runs do; Config.DisableCycleSkip is the stepping
-// reference the skip differentials compare against.
+// decode, fetch or complete until a scheduled future event — a selected
+// result becoming ready, a waiting frame's remote data arriving, an idle
+// slot's rebind delay elapsing, a functional or fetch unit going free.
+// Instead of spinning stepCycle through those cycles (the dominant cost of
+// concurrent multithreading runs with 100+-cycle remote latency, §2.1.3),
+// Run jumps p.cycle straight to the earliest such event. Results are
+// cycle-exact: per-cycle stall statistics only accrue on running slots, so
+// a stretch with runningSlots == 0 is observationally identical whether
+// stepped or skipped, provided priority rotation is fast-forwarded the
+// same number of boundaries. The same holds for the Observer stream:
+// completions, binds, wakes and standby selections are all events the
+// horizon stops at, so the only events a quiescent stretch can produce are
+// the implicit rotations, which fastForwardRotation reports. Observed runs
+// therefore skip exactly as bare runs do; Config.DisableCycleSkip is the
+// stepping reference the skip differentials compare against.
 //
 // The jump is the degenerate case of the event-driven core's pending-event
 // set (event.go): with the per-cycle dirty sets empty, the horizon is

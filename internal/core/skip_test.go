@@ -237,10 +237,16 @@ func TestFastForwardRotation(t *testing.T) {
 
 // finishedScan is the full-scan implementation of finished that the live
 // counters replaced; TestFinishedMatchesScan asserts the two agree every
-// cycle.
+// cycle. It reads the slots' completion deadlines, not the machine-wide
+// one that finished() reads.
 func (p *Processor) finishedScan() bool {
-	if p.outstanding > 0 || len(p.readyQ) > 0 {
+	if len(p.readyQ) > 0 {
 		return false
+	}
+	for _, s := range p.slots {
+		if s.doneAt > p.cycle {
+			return false
+		}
 	}
 	for _, f := range p.frames {
 		if f.state == frameRunning || f.state == frameWaiting || f.state == frameReady {

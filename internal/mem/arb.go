@@ -36,12 +36,11 @@ func (b *AccessRequirementBuffer) Complete(seq uint64) bool {
 	return false
 }
 
-// Pending returns the outstanding requirements in issue order. The returned
-// slice is a copy and remains valid after further buffer operations.
-func (b *AccessRequirementBuffer) Pending() []AccessRequirement {
-	out := make([]AccessRequirement, len(b.entries))
-	copy(out, b.entries)
-	return out
+// AppendPending appends the outstanding requirements to dst in issue order
+// and returns the extended slice, a copy that stays valid after further
+// buffer operations.
+func (b *AccessRequirementBuffer) AppendPending(dst []AccessRequirement) []AccessRequirement {
+	return append(dst, b.entries...)
 }
 
 // Len returns the number of outstanding requirements.

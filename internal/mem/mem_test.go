@@ -194,22 +194,23 @@ func TestAccessRequirementBuffer(t *testing.T) {
 	if b.Complete(2) {
 		t.Fatal("Complete(2) twice = true")
 	}
-	got := b.Pending()
-	want := []uint64{1, 3, 4}
+	got := b.AppendPending([]AccessRequirement{mk(9)})
+	want := []uint64{9, 1, 3, 4}
 	if len(got) != len(want) {
-		t.Fatalf("Pending len = %d, want %d", len(got), len(want))
+		t.Fatalf("AppendPending len = %d, want %d", len(got), len(want))
 	}
 	for i, seq := range want {
 		if got[i].Seq != seq {
-			t.Errorf("Pending[%d].Seq = %d, want %d (order must be preserved)", i, got[i].Seq, seq)
+			t.Errorf("AppendPending[%d].Seq = %d, want %d (order must be preserved)", i, got[i].Seq, seq)
 		}
 	}
-	// Pending must be a snapshot.
+	// AppendPending must copy, not alias the buffer.
 	b.Clear()
-	if b.Len() != 0 {
+	b.Add(mk(7))
+	if b.Len() != 1 {
 		t.Error("Clear left entries")
 	}
-	if len(got) != 3 {
-		t.Error("Pending snapshot aliased the buffer")
+	if got[1].Seq != 1 {
+		t.Error("AppendPending result aliased the buffer")
 	}
 }
