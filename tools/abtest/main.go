@@ -14,7 +14,9 @@
 // spreads them over both sides. For each end-to-end metric it prints, as
 // one markdown table on stdout, both sides' medians, the median of the
 // per-pair HEAD/BASE ratios with a bootstrap 95% interval, and how many
-// pairs HEAD won. Progress goes to stderr.
+// pairs HEAD won. A last row compares where the two sides' benchmark
+// binaries put the cycle core's functions (code placement alone moves
+// table2 and remote-mt by several percent). Progress goes to stderr.
 //
 // Exit status 1 means a run failed or printed an incorrect result, HEAD
 // failed more jobs than BASE on a workload, or a metric's interval lies
@@ -158,9 +160,11 @@ func run(ctx context.Context, dir string, revs []string, stdout, stderr io.Write
 	// directories lie outside the worktrees, so their Go build caches
 	// outlive this comparison and the next one starts warm.
 	env := slices.DeleteFunc(os.Environ(), func(kv string) bool { return strings.HasPrefix(kv, "CARGO_TARGET_DIR=") })
+	var builds [2]string
 	var envs [2][]string
 	for i, side := range [2]string{"base", "head"} {
-		envs[i] = append(slices.Clip(env), "CARGO_TARGET_DIR="+filepath.Join(top, ".bench_build", "abtest-cache", side))
+		builds[i] = filepath.Join(top, ".bench_build", "abtest-cache", side)
+		envs[i] = append(slices.Clip(env), "CARGO_TARGET_DIR="+builds[i])
 	}
 	fmt.Fprintf(stdout, "abtest base %.7s vs head %.7s: %d pairs of %d s runs per workload, δ = %g\n\n", shas[0], shas[1], pairs, seconds, delta)
 	fmt.Fprintln(stdout, "| workload | metric | better | base | head | head/base | 95% interval | head wins | verdict |")
@@ -212,7 +216,97 @@ func run(ctx context.Context, dir string, revs []string, stdout, stderr io.Write
 		}
 		fmt.Fprintf(stdout, "| %s | failed jobs | lower | %d | %d | | | | %s |\n", w.Name, failed[0], failed[1], verdict)
 	}
+	fmt.Fprintln(stdout, placementRow(builds))
 	return code
+}
+
+// The placement row reads the binary each side's build directory holds
+// and compares the text symbols of the package below.
+const (
+	placementBinary = "perfbench"
+	placementPrefix = "hirata/internal/core."
+)
+
+// placementRow returns the table's last row: how many of the core's
+// functions the two sides' binaries both hold sit at different addresses,
+// and the distinct shifts modulo 64 bytes (a cache line), from
+// `go tool nm -n`. Its base and head cells count each side's core
+// functions.
+func placementRow(builds [2]string) string {
+	failed := func(verdict string) string {
+		return fmt.Sprintf("| placement | %s text symbols | | | | | | | %s |", placementPrefix, verdict)
+	}
+	var listings [2]string
+	for i, dir := range builds {
+		bin := filepath.Join(dir, placementBinary)
+		if _, err := os.Stat(bin); err != nil {
+			return failed("no binary")
+		}
+		out, err := exec.Command("go", "tool", "nm", "-n", bin).Output()
+		if err != nil {
+			return failed(fmt.Sprintf("go tool nm %s: %v", bin, err))
+		}
+		listings[i] = string(out)
+	}
+	pl := comparePlacement(listings[0], listings[1])
+	verdict := fmt.Sprintf("%d of %d moved", pl.moved, pl.common)
+	if pl.moved > 0 {
+		shifts := make([]string, len(pl.shifts))
+		for i, sh := range pl.shifts {
+			shifts[i] = strconv.FormatUint(sh, 10)
+		}
+		verdict += ", shifts mod 64: " + strings.Join(shifts, ", ")
+	}
+	return fmt.Sprintf("| placement | %s text symbols | | %d | %d | | | | %s |", placementPrefix, pl.base, pl.head, verdict)
+}
+
+// placement compares two binaries' text symbols under placementPrefix.
+type placement struct {
+	base, head int      // symbols on each side
+	common     int      // symbols on both sides
+	moved      int      // common symbols at different addresses
+	shifts     []uint64 // distinct head-minus-base address shifts mod 64, ascending
+}
+
+func comparePlacement(base, head string) placement {
+	b, h := textSymbols(base), textSymbols(head)
+	pl := placement{base: len(b), head: len(h)}
+	for name, ha := range h {
+		ba, ok := b[name]
+		if !ok {
+			continue
+		}
+		pl.common++
+		if ha == ba {
+			continue
+		}
+		pl.moved++
+		// Unsigned wrap-around keeps a backward move's shift mod 64 right.
+		if sh := (ha - ba) % 64; !slices.Contains(pl.shifts, sh) {
+			pl.shifts = append(pl.shifts, sh)
+		}
+	}
+	slices.Sort(pl.shifts)
+	return pl
+}
+
+// textSymbols maps the text symbols under placementPrefix in a
+// `go tool nm -n` listing ("address type name" lines) to their addresses.
+func textSymbols(listing string) map[string]uint64 {
+	syms := map[string]uint64{}
+	for _, line := range strings.Split(listing, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[1] != "T" && f[1] != "t" {
+			continue
+		}
+		name := strings.Join(f[2:], " ")
+		addr, err := strconv.ParseUint(f[0], 16, 64)
+		if err != nil || !strings.HasPrefix(name, placementPrefix) {
+			continue
+		}
+		syms[name] = addr
+	}
+	return syms
 }
 
 // runOnce runs the benchmark command once in dir and parses the result

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -65,6 +66,41 @@ func TestSummarizeWideIntervalPasses(t *testing.T) {
 }
 
 func near(a, b float64) bool { return a-b < 1e-9 && b-a < 1e-9 }
+
+// TestComparePlacement compares two canned `go tool nm -n` listings: only
+// text symbols of the core count, a symbol on one side only is not a move,
+// and shifts are taken mod 64 in either direction.
+func TestComparePlacement(t *testing.T) {
+	base := `  401000 T runtime.main
+  508420 T hirata/internal/core.init
+  508440 T hirata/internal/core.(*Processor).Run
+  508500 T hirata/internal/core.(*Processor).stepCycle
+  508600 t hirata/internal/core.helper
+  508700 D hirata/internal/core.table
+  508800 T hirata/internal/core.gone
+  508a10 T hirata/internal/core.back
+  508b00 T hirata/internal/corelike.f
+`
+	head := `  401000 T runtime.main
+  508440 T hirata/internal/core.init
+  508460 T hirata/internal/core.(*Processor).Run
+  508500 T hirata/internal/core.(*Processor).stepCycle
+  508640 t hirata/internal/core.helper
+  508780 D hirata/internal/core.table
+  508a00 T hirata/internal/core.back
+  508900 T hirata/internal/core.added
+  508b40 T hirata/internal/corelike.f
+`
+	got := comparePlacement(base, head)
+	want := placement{base: 6, head: 6, common: 5, moved: 4, shifts: []uint64{0, 32, 48}}
+	if got.base != want.base || got.head != want.head || got.common != want.common || got.moved != want.moved ||
+		!slices.Equal(got.shifts, want.shifts) {
+		t.Errorf("comparePlacement = %+v, want %+v", got, want)
+	}
+	if same := comparePlacement(base, base); same.moved != 0 || same.common != 6 || len(same.shifts) != 0 {
+		t.Errorf("a listing against itself: %+v, want 6 common symbols and none moved", same)
+	}
+}
 
 // TestRun drives the tool over a throwaway repository whose benchmark is a
 // shell script printing the value a file outside the benchmark holds.
@@ -152,6 +188,10 @@ echo "{\"correct\": $(cat correct), \"failed\": $(cat failed), \"metrics\": {\"w
 			code := run(context.Background(), dir, tc.revs, &stdout, &stderr)
 			if code != tc.code || !strings.Contains(stdout.String(), tc.out) {
 				t.Errorf("exit %d, want %d; stdout:\n%s\nstderr:\n%s\nwant a line %q", code, tc.code, stdout.String(), stderr.String(), tc.out)
+			}
+			// The shell benchmark builds no binary to compare.
+			if noBinary := "| placement | hirata/internal/core. text symbols | | | | | | | no binary |"; tc.code != 2 && !strings.Contains(stdout.String(), noBinary) {
+				t.Errorf("stdout lacks the placement row %q:\n%s", noBinary, stdout.String())
 			}
 			cleanedUp(t)
 		})
