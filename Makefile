@@ -86,10 +86,11 @@ explore-demo:
 
 # phase-profile attributes the cycle loop's host time to the phases of
 # stepCycle (docs/PERFORMANCE.md, "Per-phase host cost"): a CPU profile of
-# BenchmarkTable2 (cpu.out, with its test binary hirata.test), then pprof's
-# callers and callees of stepCycle and Run.
+# BenchmarkTable2 and BenchmarkTraceReplay, the program and trace halves of
+# perfbench's table2 (cpu.out, with its test binary hirata.test), then
+# pprof's callers and callees of stepCycle and Run.
 phase-profile:
-	$(GO) test -run '^$$' -bench '^BenchmarkTable2$$' -benchtime 20x -cpuprofile cpu.out -o hirata.test .
+	$(GO) test -run '^$$' -bench '^Benchmark(Table2|TraceReplay)$$' -benchtime 20x -cpuprofile cpu.out -o hirata.test .
 	$(GO) tool pprof -peek 'core\.\(\*Processor\)\.(stepCycle|Run)$$' hirata.test cpu.out
 
 # bench-report regenerates the JSON paper-reproduction report and records
